@@ -11,15 +11,12 @@ CLT-based confidence interval.
 from .drift import (
     DenseDrift,
     DriftMap,
-    GramMatrix,
     IdentityDrift,
     PathMultiDrift,
-    PathSingleDrift,
     dense_map,
     identity_map,
     load_dense_map,
     path_drift_multi,
-    path_drift_single,
 )
 from .errors import (
     BracketFailure,
@@ -49,7 +46,6 @@ from .estimate import (
     variance_estimate,
 )
 from .gaussian import (
-    CorrelationChol,
     PathMap,
     RngStream,
     SampleBlock,
@@ -62,7 +58,6 @@ from .gaussian import (
 )
 from .optimize import (
     OptimResult,
-    ThetaCovariance,
     WeightTable,
     estimate_theta_covariance,
     eval_un,
@@ -93,7 +88,6 @@ from .payoffs import (
     TabulatedVol,
     VanillaCall,
     VanillaPut,
-    asset_paths,
     build_payoff,
 )
 

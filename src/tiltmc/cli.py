@@ -13,7 +13,8 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures (``price`` and ``coverage``; ``experiment`` batches record row
 failures inline in the output and keep going). ``TILTMC_SEED`` and
 ``TILTMC_THREADS`` override the seed and worker count when the flags are
-absent. Rows are dispatched to worker threads but emitted in config order.
+absent; invalid values exit 2 like invalid flags. Rows are dispatched to
+worker threads but emitted in config order.
 CSV omits the wall-time column unless ``--timings`` is given, so
 equal-seed runs emit byte-identical files regardless of thread count.
 """
@@ -231,6 +232,24 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
+def _seed(value: str) -> int:
+    try:
+        return RngStream(int(value)).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid seed {value!r}: {exc}") from exc
+
+
+def _env_override(parser, name: str, convert):
+    """Parse environment variable ``name`` with a flag's converter; exit 2 if invalid."""
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return convert(raw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        parser.error(f"{name}={raw!r}: {exc}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tiltmc",
@@ -240,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--n", type=_positive_int, help="override sample count per run")
-        p.add_argument("--seed", type=int, help="override the base seed")
+        p.add_argument("--seed", type=_seed, help="override the base seed")
         p.add_argument("--modes", nargs="+", help="override the mode list")
         p.add_argument("--format", choices=("text", "csv"), help="output format")
         p.add_argument("--out", help="write the report to this file instead of stdout")
@@ -284,12 +303,11 @@ def _write(text: str, out: str | None):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.seed is None and os.environ.get("TILTMC_SEED"):
-        args.seed = int(os.environ["TILTMC_SEED"])
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("TILTMC_THREADS", "1"))
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is None:
+        args.seed = _env_override(parser, "TILTMC_SEED", _seed)
+    threads = args.threads or _env_override(parser, "TILTMC_THREADS", _positive_int) or 1
 
     try:
         if args.command == "price":

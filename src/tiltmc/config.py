@@ -9,12 +9,15 @@ offending field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .drift import DriftMap, identity_map, load_dense_map, path_drift_multi, path_drift_single
+from .drift import DriftMap, identity_map, load_dense_map, path_drift_multi
 from .errors import ConfigError
+from .estimate import MODES
+from .gaussian import RngStream
 from .payoffs import (
     BarrierBasketCall,
     BarrierCall,
@@ -42,7 +45,6 @@ __all__ = [
 
 DEFAULT_LEVEL = 0.95
 DEFAULT_MODES = ("crude", "ris")
-_VALID_MODES = ("crude", "ris", "rris", "two_stage")
 _DRIFT_KINDS = ("identity", "path_single", "path_multi", "dense")
 
 
@@ -72,8 +74,8 @@ class ExperimentSpec:
         kind = self.drift_kind
         if kind == "identity":
             return identity_map(self.model.dim)
-        if kind == "path_single":
-            return path_drift_single(self.model.times)
+        if kind == "path_single":  # the one-asset path_multi
+            return path_drift_multi(self.model.times, 1)
         if kind == "path_multi":
             return path_drift_multi(self.model.times, self.model.n_assets)
         if kind.startswith("dense:"):
@@ -135,11 +137,12 @@ def _read_sections(path) -> dict[str, _Section]:
             if current is None:
                 raise ConfigError("key outside of any [section]", line=lineno)
             key, value = (part.strip() for part in line.split("=", 1))
+            key = key.lower()
             if not key or not value:
                 raise ConfigError("expected 'key = value'", line=lineno)
             if key in current:
                 raise ConfigError(f"duplicate key '{key}'", line=lineno, field=key)
-            current[key.lower()] = (value, lineno)
+            current[key] = (value, lineno)
     for required in ("model", "claim", "run"):
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
@@ -179,9 +182,12 @@ class _Fields:
         if value is None or isinstance(value, float):
             return value
         try:
-            return float(value)
+            number = float(value)
+            if math.isfinite(number):
+                return number
         except ValueError:
-            raise ConfigError(f"'{key}' must be a number; got {value!r}", line=line, field=key)
+            pass
+        raise ConfigError(f"'{key}' must be a finite number; got {value!r}", line=line, field=key)
 
     def integer(self, key, *, required=False, default=None) -> int | None:
         value, line = self._take(key, required, default)
@@ -199,13 +205,16 @@ class _Fields:
         if isinstance(value, np.ndarray):
             return value
         try:
-            return np.array([float(tok) for tok in value.split()], dtype=np.float64)
+            values = np.array([float(tok) for tok in value.split()], dtype=np.float64)
+            if np.isfinite(values).all():
+                return values
         except ValueError:
-            raise ConfigError(
-                f"'{key}' must be a number or whitespace-separated list; got {value!r}",
-                line=line,
-                field=key,
-            )
+            pass
+        raise ConfigError(
+            f"'{key}' must be a finite number or whitespace-separated list; got {value!r}",
+            line=line,
+            field=key,
+        )
 
     def words(self, key, *, required=False, default=None) -> tuple[str, ...] | None:
         value, line = self._take(key, required, default)
@@ -349,6 +358,15 @@ def _build_claim(section: _Section, model):
     return claim
 
 
+def _check_modes(modes):
+    for mode in modes:
+        if mode not in MODES:
+            raise ConfigError(
+                f"unknown mode {mode!r}; expected a subset of {', '.join(MODES)}",
+                field="modes",
+            )
+
+
 def _build_run(section: _Section):
     fields = _Fields("run", section)
     n = fields.integer("n", required=True)
@@ -361,14 +379,13 @@ def _build_run(section: _Section):
     fields.finish()
     if n < 1:
         raise ConfigError("'n' must be >= 1", field="n")
+    try:
+        RngStream(seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field="seed") from exc
     if not 0.0 < level < 1.0:
         raise ConfigError("'level' must lie in (0, 1)", field="level")
-    for mode in modes:
-        if mode not in _VALID_MODES:
-            raise ConfigError(
-                f"unknown mode {mode!r}; expected a subset of {', '.join(_VALID_MODES)}",
-                field="modes",
-            )
+    _check_modes(modes)
     base = drift_kind.split(":", 1)[0]
     if base not in _DRIFT_KINDS:
         raise ConfigError(
@@ -515,9 +532,7 @@ def builtin_experiment(
             f"unknown builtin experiment {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
     if modes is not None:
-        for mode in modes:
-            if mode not in _VALID_MODES:
-                raise ConfigError(f"unknown mode {mode!r}", field="modes")
+        _check_modes(modes)
     return factory(n, _DEFAULT_SEED if seed is None else seed, modes, level)
 
 

@@ -2,9 +2,9 @@
 
 A full importance-sampling search runs over all of R^d; restricting the
 drift to {A v : v in R^d'} keeps the optimization d'-dimensional. The
-structured maps here (identity, one parameter per Brownian coordinate per
-path, one parameter per asset) have O(d) apply kernels; arbitrary matrices
-are supported through the dense fallback.
+structured maps here (identity, and one linear Brownian drift parameter
+per asset) have O(d) apply kernels; arbitrary matrices are supported
+through the dense fallback.
 """
 
 from __future__ import annotations
@@ -13,46 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidGrid, RankDeficientDriftMap
+from .errors import DimensionMismatch, RankDeficientDriftMap
+from .gaussian import validate_grid
 
 __all__ = [
     "DriftMap",
     "IdentityDrift",
-    "PathSingleDrift",
     "PathMultiDrift",
     "DenseDrift",
-    "GramMatrix",
     "identity_map",
-    "path_drift_single",
     "path_drift_multi",
     "dense_map",
     "load_dense_map",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """A*A with its Cholesky factor and smallest-eigenvalue lower bound."""
-
-    matrix: np.ndarray
-    factor: np.ndarray  # lower-triangular Cholesky factor of A*A
-    min_eigenvalue: float
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.factor.setflags(write=False)
-
-
-def _make_gram(matrix: np.ndarray) -> GramMatrix:
-    matrix = 0.5 * (matrix + matrix.T)
-    try:
-        factor = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientDriftMap(
-            "A*A is not positive definite; the drift map lacks full column rank"
-        ) from exc
-    min_eig = float(np.linalg.eigvalsh(matrix)[0])
-    return GramMatrix(matrix=matrix, factor=factor, min_eigenvalue=min_eig)
 
 
 class DriftMap:
@@ -60,7 +33,7 @@ class DriftMap:
 
     Subclasses provide ``d`` (ambient dimension), ``d_reduced`` (subspace
     dimension), ``apply`` (theta = A v), ``apply_adjoint`` (A* x, also for
-    row-stacked batches) and ``gram`` (A*A as a :class:`GramMatrix`).
+    row-stacked batches) and ``gram`` (the d' x d' array A*A).
     """
 
     d: int
@@ -72,7 +45,7 @@ class DriftMap:
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def gram(self) -> GramMatrix:
+    def gram(self) -> np.ndarray:
         raise NotImplementedError
 
     def _check_reduced(self, v) -> np.ndarray:
@@ -110,51 +83,8 @@ class IdentityDrift(DriftMap):
         # path of the full-dimensional optimizer.
         return self._check_ambient(x)
 
-    def gram(self) -> GramMatrix:
-        eye = np.eye(self.d)
-        return GramMatrix(matrix=eye, factor=np.eye(self.d), min_eigenvalue=1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class PathSingleDrift(DriftMap):
-    """Single parameter driving a linear Brownian drift on one asset.
-
-    A is the column (sqrt(t_1), sqrt(t_2 - t_1), ..., sqrt(t_d - t_{d-1}))*,
-    so A v adds the drift v*t to the underlying Brownian path.
-    """
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        self.times.setflags(write=False)
-
-    @property
-    def d(self) -> int:
-        return self.times.size
-
-    @property
-    def d_reduced(self) -> int:
-        return 1
-
-    @property
-    def column(self) -> np.ndarray:
-        return np.sqrt(np.diff(self.times, prepend=0.0))
-
-    def apply(self, v):
-        v = self._check_reduced(v)
-        return self.column * v[0]
-
-    def apply_adjoint(self, x):
-        x = self._check_ambient(x)
-        return x @ self.column[:, None]
-
-    def gram(self) -> GramMatrix:
-        total = float(self.times[-1])  # telescoping sum of increments
-        return GramMatrix(
-            matrix=np.array([[total]]),
-            factor=np.array([[np.sqrt(total)]]),
-            min_eigenvalue=total,
-        )
+    def gram(self) -> np.ndarray:
+        return np.eye(self.d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +93,8 @@ class PathMultiDrift(DriftMap):
 
     With the time-major sample layout, A[(j-1)*I + i, i] = sqrt(t_j - t_{j-1})
     and every other entry is zero: parameter i adds a linear drift to asset
-    i's Brownian coordinate.
+    i's Brownian coordinate. With one asset, A is the single column
+    (sqrt(t_1), sqrt(t_2 - t_1), ..., sqrt(t_N - t_{N-1}))*.
     """
 
     times: np.ndarray
@@ -197,14 +128,9 @@ class PathMultiDrift(DriftMap):
         steps = x.reshape(x.shape[:-1] + (self.n_steps, self.n_assets))
         return np.einsum("...ji,j->...i", steps, self.sqrt_steps)
 
-    def gram(self) -> GramMatrix:
-        total = float(self.times[-1])
-        eye = np.eye(self.n_assets)
-        return GramMatrix(
-            matrix=total * eye,
-            factor=np.sqrt(total) * eye,
-            min_eigenvalue=total,
-        )
+    def gram(self) -> np.ndarray:
+        # The squared step sizes telescope to the last grid time.
+        return float(self.times[-1]) * np.eye(self.n_assets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +156,9 @@ class DenseDrift(DriftMap):
     def apply_adjoint(self, x):
         return self._check_ambient(x) @ self.matrix
 
-    def gram(self) -> GramMatrix:
-        return _make_gram(self.matrix.T @ self.matrix)
+    def gram(self) -> np.ndarray:
+        gram = self.matrix.T @ self.matrix
+        return 0.5 * (gram + gram.T)
 
 
 def identity_map(d: int) -> IdentityDrift:
@@ -240,25 +167,11 @@ def identity_map(d: int) -> IdentityDrift:
     return IdentityDrift(d=d)
 
 
-def _grid(times) -> np.ndarray:
-    times = np.asarray(times, dtype=np.float64).reshape(-1)
-    if times.size == 0:
-        raise InvalidGrid("time grid is empty")
-    if times[0] <= 0.0 or np.any(np.diff(times) <= 0.0):
-        raise InvalidGrid("time grid must be positive and strictly increasing")
-    return times
-
-
-def path_drift_single(times) -> PathSingleDrift:
-    """Drift column with entries sqrt(t_j - t_{j-1}) over the given grid."""
-    return PathSingleDrift(times=_grid(times))
-
-
 def path_drift_multi(times, n_assets: int) -> PathMultiDrift:
     """Per-asset drift columns over an I-asset, N-step grid (d = I*N, d' = I)."""
     if n_assets < 1:
         raise ValueError("n_assets must be >= 1")
-    return PathMultiDrift(times=_grid(times), n_assets=n_assets)
+    return PathMultiDrift(times=validate_grid(times), n_assets=n_assets)
 
 
 def dense_map(matrix) -> DenseDrift:
@@ -269,7 +182,12 @@ def dense_map(matrix) -> DenseDrift:
             f"drift matrix must be d x d' with d >= d' >= 1, got shape {matrix.shape}"
         )
     out = DenseDrift(matrix=matrix)
-    out.gram()  # raises RankDeficientDriftMap if A*A is singular
+    try:
+        np.linalg.cholesky(out.gram())
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientDriftMap(
+            "A*A is not positive definite; the drift map lacks full column rank"
+        ) from exc
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .drift import DriftMap, identity_map
-from .errors import ConvergenceFailure, NonFiniteEstimate
+from .errors import ConvergenceFailure, NonFiniteEstimate, TiltmcError
 from .gaussian import RngStream, SampleBlock, draw_samples
 from .optimize import (
     DEFAULT_MAX_ITER,
@@ -336,9 +336,9 @@ def coverage_experiment(
     """Fraction of replicated confidence intervals containing ``reference``.
 
     Replication r uses stream_id = base_stream_id + r, so runs are
-    independent and individually reproducible. Failed replications (e.g. a
-    degenerate payoff on a small block) are counted and excluded from the
-    empirical level.
+    independent and individually reproducible. Replications that fail with
+    a :class:`TiltmcError` (e.g. a degenerate payoff on a small block) are
+    counted and excluded from the empirical level; other exceptions propagate.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -348,7 +348,7 @@ def coverage_experiment(
         block = draw_samples(stream, n, payoff.dim)
         try:
             report = run_pipeline(block, payoff, mode, drift, level=level)
-        except Exception:
+        except TiltmcError:
             return None
         return bool(report.ci_low <= reference <= report.ci_high)
 

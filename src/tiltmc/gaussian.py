@@ -1,7 +1,7 @@
 """Deterministic generation of standard normal samples and Brownian path maps.
 
 Draws are counter-addressable: the normal at flat index k is a pure function
-of (seed, stream_id, k), so blocks can be filled in parallel chunks, sliced,
+of (seed, stream_id, k), so blocks can be filled chunk by chunk, sliced,
 or regenerated later with bit-identical results. Uniform variates come from
 the Philox counter-based generator and are mapped to normals through the
 inverse CDF (``scipy.special.ndtri``) rather than a rejection method, which
@@ -10,7 +10,6 @@ would break index addressing.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .errors import InvalidCorrelation, InvalidGrid, SampleBudgetExceeded
 __all__ = [
     "RngStream",
     "SampleBlock",
-    "CorrelationChol",
     "PathMap",
     "new_stream",
     "normal_draws",
@@ -35,8 +33,8 @@ __all__ = [
 # Default storage budget for one block: 2**27 float64 entries (1 GiB).
 DEFAULT_SAMPLE_BUDGET = 1 << 27
 
-# Rows are filled in fixed-size flat chunks so that the output does not
-# depend on how many workers participate.
+# Blocks are filled in fixed-size flat chunks, which bounds the size of the
+# temporaries (raw words, uniforms) to one chunk.
 _FILL_CHUNK = 1 << 16
 
 # Dense path-map matrices are only materialized up to this dimension.
@@ -137,10 +135,6 @@ class SampleBlock:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def end_stream(self) -> RngStream:
-        """Stream descriptor for the first draw after this block."""
-        return self.provenance.advanced(self.values.size)
-
 
 def draw_samples(
     stream: RngStream,
@@ -148,13 +142,12 @@ def draw_samples(
     d: int,
     *,
     max_elements: int = DEFAULT_SAMPLE_BUDGET,
-    workers: int = 1,
 ) -> SampleBlock:
     """Draw and store an n-by-d block of standard normals.
 
     Entry (i, j) depends only on (seed, stream_id, counter + i*d + j); the
-    block is therefore identical whether filled serially or by several
-    workers, and can be regenerated from its provenance without storage.
+    block therefore does not depend on the fill chunk size and can be
+    regenerated from its provenance without storage.
 
     Raises
     ------
@@ -170,18 +163,9 @@ def draw_samples(
             f"block of {n}x{d} = {total} doubles exceeds budget of {max_elements} elements"
         )
     flat = np.empty(total, dtype=np.float64)
-    spans = [(lo, min(lo + _FILL_CHUNK, total)) for lo in range(0, total, _FILL_CHUNK)]
-
-    def fill(span):
-        lo, hi = span
+    for lo in range(0, total, _FILL_CHUNK):
+        hi = min(lo + _FILL_CHUNK, total)
         flat[lo:hi] = normal_draws(stream, hi - lo, offset=lo)
-
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
     return SampleBlock(values=flat.reshape(n, d), provenance=stream)
 
 
@@ -190,26 +174,9 @@ def regenerate(block: SampleBlock) -> SampleBlock:
     return draw_samples(block.provenance, block.n, block.d)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationChol:
-    """Cholesky factor of the equicorrelation matrix C = (1-rho) I + rho 11*."""
-
-    dim: int
-    rho: float
-    factor: np.ndarray  # lower triangular, factor @ factor.T == C
-
-    def __post_init__(self):
-        self.factor.setflags(write=False)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        c = np.full((self.dim, self.dim), self.rho)
-        np.fill_diagonal(c, 1.0)
-        return c
-
-
-def cholesky_correlation(n_assets: int, rho: float) -> CorrelationChol:
-    """Factor the equicorrelation matrix of ``n_assets`` Brownian motions.
+def cholesky_correlation(n_assets: int, rho: float) -> np.ndarray:
+    """Read-only lower Cholesky factor L of the equicorrelation matrix
+    C = (1-rho) I + rho 11* of ``n_assets`` Brownian motions (L L* = C).
 
     ``rho`` must lie in the open interval (-1/(n_assets-1), 1) for the
     matrix to be positive definite; with one asset any value is accepted
@@ -218,18 +185,22 @@ def cholesky_correlation(n_assets: int, rho: float) -> CorrelationChol:
     if n_assets < 1:
         raise ValueError("n_assets must be >= 1")
     if n_assets == 1:
-        return CorrelationChol(dim=1, rho=float(rho), factor=np.ones((1, 1)))
-    lo = -1.0 / (n_assets - 1)
-    if not lo < rho < 1.0:
-        raise InvalidCorrelation(
-            f"rho={rho} outside the admissible interval ({lo}, 1) for {n_assets} assets"
-        )
-    c = np.full((n_assets, n_assets), float(rho))
-    np.fill_diagonal(c, 1.0)
-    return CorrelationChol(dim=n_assets, rho=float(rho), factor=np.linalg.cholesky(c))
+        factor = np.ones((1, 1))
+    else:
+        lo = -1.0 / (n_assets - 1)
+        if not lo < rho < 1.0:
+            raise InvalidCorrelation(
+                f"rho={rho} outside the admissible interval ({lo}, 1) for {n_assets} assets"
+            )
+        c = np.full((n_assets, n_assets), float(rho))
+        np.fill_diagonal(c, 1.0)
+        factor = np.linalg.cholesky(c)
+    factor.setflags(write=False)
+    return factor
 
 
-def _validate_grid(times: np.ndarray) -> np.ndarray:
+def validate_grid(times) -> np.ndarray:
+    """Flatten a time grid to float64, rejecting empty or non-increasing ones."""
     times = np.asarray(times, dtype=np.float64).reshape(-1)
     if times.size == 0:
         raise InvalidGrid("time grid is empty")
@@ -250,10 +221,11 @@ class PathMap:
     """
 
     times: np.ndarray
-    chol: CorrelationChol
+    chol: np.ndarray  # lower Cholesky factor of the asset correlation
 
     def __post_init__(self):
         self.times.setflags(write=False)
+        self.chol.setflags(write=False)
 
     @property
     def n_steps(self) -> int:
@@ -261,7 +233,7 @@ class PathMap:
 
     @property
     def n_assets(self) -> int:
-        return self.chol.dim
+        return self.chol.shape[0]
 
     @property
     def dim(self) -> int:
@@ -277,7 +249,7 @@ class PathMap:
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected last dimension {self.dim}, got {x.shape[-1]}")
         steps = x.reshape(x.shape[:-1] + (self.n_steps, self.n_assets))
-        increments = (steps @ self.chol.factor.T) * np.sqrt(self.step_sizes)[:, None]
+        increments = (steps @ self.chol.T) * np.sqrt(self.step_sizes)[:, None]
         return np.cumsum(increments, axis=-2)
 
     def dense(self) -> np.ndarray:
@@ -288,9 +260,9 @@ class PathMap:
                 "use apply() instead"
             )
         scale = np.tril(np.tile(np.sqrt(self.step_sizes), (self.n_steps, 1)))
-        return np.kron(scale, self.chol.factor)
+        return np.kron(scale, self.chol)
 
 
-def build_path_map(times, chol: CorrelationChol) -> PathMap:
+def build_path_map(times, chol: np.ndarray) -> PathMap:
     """Assemble the Brownian path map for a strictly increasing time grid."""
-    return PathMap(times=_validate_grid(times), chol=chol)
+    return PathMap(times=validate_grid(times), chol=chol)

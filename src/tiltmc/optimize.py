@@ -40,7 +40,6 @@ from .payoffs import Payoff
 __all__ = [
     "WeightTable",
     "OptimResult",
-    "ThetaCovariance",
     "precompute_weights",
     "eval_vn",
     "eval_un",
@@ -112,8 +111,7 @@ class _Objective:
         self.n = table.n
         self.log_w = np.log(table.weights[nz])
         self.reduced = np.atleast_2d(drift.apply_adjoint(table.samples.values[nz]))
-        gram = drift.gram()
-        self.gram = gram.matrix
+        self.gram = drift.gram()
         self.d_reduced = drift.d_reduced
 
     def _softmax(self, v: np.ndarray):
@@ -149,22 +147,15 @@ class _Objective:
         return float(v)
 
 
-def _check_theta(drift: DriftMap, v) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    if v.shape != (drift.d_reduced,):
-        raise ValueError(f"expected reduced parameter of length {drift.d_reduced}, got {v.shape}")
-    return v
-
-
 def eval_vn(table: WeightTable, drift: DriftMap, theta) -> float:
     """Empirical variance proxy v_n at the reduced parameter theta."""
     obj = _Objective(table, drift)
-    return obj.v_from_u(obj.value(_check_theta(drift, theta)))
+    return obj.v_from_u(obj.value(drift._check_reduced(theta)))
 
 
 def eval_un(table: WeightTable, drift: DriftMap, theta) -> float:
     """Reformulated objective u_n = |A theta|^2/2 + log sum_i w_i e^{-A theta . G_i}."""
-    return _Objective(table, drift).value(_check_theta(drift, theta))
+    return _Objective(table, drift).value(drift._check_reduced(theta))
 
 
 def eval_un_derivatives(table: WeightTable, drift: DriftMap, theta):
@@ -175,7 +166,7 @@ def eval_un_derivatives(table: WeightTable, drift: DriftMap, theta):
     A*A plus the softmax-weighted covariance of A*G, hence bounded below by
     A*A.
     """
-    _, grad, hess = _Objective(table, drift).value_grad_hess(_check_theta(drift, theta))
+    _, grad, hess = _Objective(table, drift).value_grad_hess(drift._check_reduced(theta))
     return grad, hess
 
 
@@ -235,7 +226,7 @@ def newton_minimize(
             stacklevel=2,
         )
     obj = _Objective(table, drift)
-    x = np.zeros(obj.d_reduced) if x0 is None else _check_theta(drift, x0).copy()
+    x = np.zeros(obj.d_reduced) if x0 is None else drift._check_reduced(x0).copy()
     u, grad, hess = obj.value_grad_hess(x)
     history = [u]
     safeguarded = False
@@ -285,39 +276,18 @@ def newton_minimize(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ThetaCovariance:
-    """Plug-in estimate of the asymptotic covariance of sqrt(n) (theta_n - theta*).
+def estimate_theta_covariance(table: WeightTable, drift: DriftMap, theta) -> np.ndarray:
+    """Sandwich covariance gamma = H^{-1} S H^{-1} of sqrt(n) (theta_n - theta*).
 
-    gamma = hessian^{-1} score_cov hessian^{-1}, with the Hessian of the
-    variance proxy and the covariance of its per-sample score both evaluated
-    at the supplied minimizer using sample moments.
+    Per-sample score: A*(A theta - G_i) w_i e^{-A theta . G_i + |A theta|^2/2}
+    with covariance S. The Hessian plug-in H adds A*A times the same
+    exponential factor. Both use the stored weights and are evaluated at
+    theta; expectations become sample means over the block.
     """
-
-    gamma: np.ndarray
-    hessian: np.ndarray
-    score_cov: np.ndarray
-
-    def __post_init__(self):
-        self.gamma.setflags(write=False)
-        self.hessian.setflags(write=False)
-        self.score_cov.setflags(write=False)
-
-
-def estimate_theta_covariance(table: WeightTable, drift: DriftMap, theta) -> ThetaCovariance:
-    """Sandwich covariance of the optimized tilt parameter at theta.
-
-    Per-sample score: A*(A theta - G_i) w_i e^{-A theta . G_i + |A theta|^2/2}.
-    The Hessian plug-in adds A*A times the same exponential factor. Both use
-    the stored weights; expectations become sample means over the block.
-    """
-    theta = _check_theta(drift, theta)
-    nz = table.weights > 0.0
-    n = table.n
-    gram = drift.gram().matrix
-    reduced = np.atleast_2d(drift.apply_adjoint(table.samples.values[nz]))
-    scores = reduced @ theta
-    log_terms = np.log(table.weights[nz]) - scores + 0.5 * float(theta @ (gram @ theta))
+    theta = drift._check_reduced(theta)
+    obj = _Objective(table, drift)
+    n, gram, reduced = obj.n, obj.gram, obj.reduced
+    log_terms = obj.log_w - reduced @ theta + 0.5 * float(theta @ (gram @ theta))
     terms = np.exp(log_terms)
     if not np.isfinite(terms).all():
         raise NonFiniteObjective("variance-proxy terms overflowed in covariance plug-in")
@@ -329,9 +299,4 @@ def estimate_theta_covariance(table: WeightTable, drift: DriftMap, theta) -> The
     score_cov = score_sq - np.outer(score_mean, score_mean)
     solved = np.linalg.solve(hessian, score_cov)
     gamma = np.linalg.solve(hessian, solved.T).T
-    gamma = 0.5 * (gamma + gamma.T)
-    return ThetaCovariance(
-        gamma=gamma,
-        hessian=0.5 * (hessian + hessian.T),
-        score_cov=0.5 * (score_cov + score_cov.T),
-    )
+    return 0.5 * (gamma + gamma.T)

@@ -5,9 +5,9 @@ closed forms evaluate the normal CDF directly and the tilt optimum comes
 from deterministic one-dimensional quadrature, so these values can sit on
 the other side of an assertion from the sampled estimators.
 
-The normal CDF/quantile pair is scipy's Cephes implementation via the error
-function (``ndtr``/``ndtri``), accurate to double precision; digital prices
-computed from it are bit-stable across runs.
+The normal CDF is scipy's Cephes implementation via the error function
+(``ndtr``), accurate to double precision; digital prices computed from it
+are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import BracketFailure
 
 __all__ = [
-    "norm_cdf",
-    "norm_ppf",
     "bs_call_price",
     "bs_put_price",
     "bs_digital_price",
@@ -31,14 +29,6 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def norm_cdf(x):
-    return ndtr(x)
-
-
-def norm_ppf(p):
-    return ndtri(p)
 
 
 def _d1_d2(spot, strike, rate, vol, maturity):

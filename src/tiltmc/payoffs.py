@@ -37,7 +37,6 @@ __all__ = [
     "VanillaPut",
     "Payoff",
     "build_payoff",
-    "asset_paths",
 ]
 
 
@@ -395,11 +394,6 @@ class Payoff:
     def from_function(cls, dim: int, fn: Callable[[np.ndarray], np.ndarray]) -> "Payoff":
         """Wrap a vectorized function of the normal vector directly."""
         return cls(dim=dim, fn=fn)
-
-
-def asset_paths(model: ModelSpec, x) -> np.ndarray:
-    """Asset values at the monitoring dates for normal input x, (..., N, I)."""
-    return model.paths(np.asarray(x, dtype=np.float64))
 
 
 def build_payoff(model: ModelSpec, claim: ClaimSpec) -> Payoff:

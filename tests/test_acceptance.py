@@ -36,7 +36,6 @@ from tiltmc import (
     identity_map,
     newton_minimize,
     path_drift_multi,
-    path_drift_single,
     precompute_weights,
     run_pipeline,
     tilted_terms,
@@ -240,7 +239,7 @@ def _random_payoff_config(rng):
         times = np.cumsum(rng.uniform(0.1, 0.3, int(rng.integers(3, 7))))
         model = BlackScholesMulti.create(1, times, 100.0, 0.2, 0.05)
         claim = BarrierCall(strike=rng.uniform(90, 115), barrier=rng.uniform(60, 85))
-        drift = path_drift_single(times)
+        drift = path_drift_multi(times, 1)
     else:
         times = np.cumsum(rng.uniform(0.2, 0.4, int(rng.integers(2, 4))))
         n_assets = int(rng.integers(2, 4))
@@ -293,7 +292,7 @@ def test_ac7_hessian_bound_and_objective_identity():
     for _ in range(100):
         table, drift, theta = _random_payoff_config(rng)
         _, hess = eval_un_derivatives(table, drift, theta)
-        gap = hess - drift.gram().matrix
+        gap = hess - drift.gram()
         np.linalg.cholesky(gap + 1e-10 * np.eye(gap.shape[0]))
         vn = eval_vn(table, drift, theta)
         un = eval_un(table, drift, theta)
@@ -382,7 +381,7 @@ def test_ac9_tilt_normality():
         block = draw_samples(RngStream(909, rep), n, 1)
         table = precompute_weights(block, payoff)
         result = newton_minimize(table, drift)
-        gamma = estimate_theta_covariance(table, drift, result.theta).gamma[0, 0]
+        gamma = estimate_theta_covariance(table, drift, result.theta)[0, 0]
         z[rep] = (result.theta[0] - theta_star) / np.sqrt(gamma / n)
     stat, pvalue = kstest(z, "norm")
     _check("AC9 normality", pvalue > 0.01, f"KS stat {stat:.4f}, p = {pvalue:.3f} > 0.01")

@@ -13,6 +13,8 @@ Claims:
 import csv
 import io
 
+import pytest
+
 from tiltmc.cli import emit_report, main, reference_price, run_experiment
 from tiltmc.config import builtin_experiment, parse_config
 from tiltmc.oracles import bs_call_price, bs_digital_price
@@ -153,6 +155,22 @@ class TestEnvironmentOverrides:
     def test_threads_env_accepted(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TILTMC_THREADS", "2")
         assert main(["experiment", _digital_config(tmp_path), "--n", "200"]) == 0
+
+    @pytest.mark.parametrize(
+        "env, flags, message",
+        [
+            ({}, ["--seed", "-1"], "--seed"),
+            ({"TILTMC_SEED": "abc"}, [], "TILTMC_SEED"),
+            ({"TILTMC_THREADS": "abc"}, [], "TILTMC_THREADS"),
+        ],
+    )
+    def test_invalid_seed_or_threads_exit_2(self, tmp_path, monkeypatch, capsys, env, flags, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", _digital_config(tmp_path), "--n", "200"] + flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCoverage:

@@ -14,6 +14,7 @@ import pytest
 from pytest import approx
 
 from tiltmc import BarrierBasketCall, Basket, ConfigError, Digital, LocalVol1D
+from tiltmc.cli import main
 from tiltmc.config import (
     BUILTIN_NAMES,
     builtin_experiment,
@@ -100,6 +101,34 @@ class TestParsing:
         text = MINIMAL_DIGITAL + "n = 2000\n"
         with pytest.raises(ConfigError):
             parse_config(_write(tmp_path, text))
+
+    def test_key_differing_only_in_case_rejected(self, tmp_path, capsys):
+        # A later 'Rate' must not silently override 'rate'.
+        text = MINIMAL_DIGITAL.replace("rate = 0.05", "rate = 0.05\nRate = 5")
+        assert main(["price", str(_write(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate key 'rate'" in err
+        assert "field 'rate'" in err
+
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("maturity = 1", "maturity = nan", "maturity"),
+            ("level = 140", "level = inf", "level"),
+            ("spot = 100", "spot = -inf", "spot"),
+            ("vol = 0.2", "vol = NaN", "vol"),
+            ("rate = 0.05", "rate = 0.05\ntimes = 0.5 nan", "times"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, old, new, field):
+        text = MINIMAL_DIGITAL.replace(old, new).replace("seed = 7", "seed = 7\nmodes = crude")
+        assert main(["price", str(_write(tmp_path, text))]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_seed_out_of_range_rejected(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, MINIMAL_DIGITAL.replace("seed = 7", "seed = -1")))
+        assert err.value.field == "seed"
 
     def test_barrier_basket_dimensions_derived(self, tmp_path):
         text = """

@@ -2,7 +2,8 @@
 
 Claims:
     - structured maps reproduce their defining matrices (identity columns,
-      sqrt time increments, the sparse per-asset layout)
+      sqrt time increments, the sparse per-asset layout; the single-asset
+      path drift is the one-asset per-asset map)
     - apply/apply_adjoint form an adjoint pair and compose to the Gram matrix
     - construction rejects rank-deficient matrices and bad grids
     - dense maps round-trip through the text-file loader
@@ -22,7 +23,6 @@ from tiltmc import (
     identity_map,
     load_dense_map,
     path_drift_multi,
-    path_drift_single,
 )
 
 
@@ -34,7 +34,7 @@ class TestIdentity:
         assert drift.apply_adjoint(v) == approx(v)
 
     def test_gram_is_identity(self):
-        assert identity_map(3).gram().matrix == approx(np.eye(3))
+        assert identity_map(3).gram() == approx(np.eye(3))
 
     def test_dimensions(self):
         drift = identity_map(3)
@@ -46,44 +46,45 @@ class TestPathSingle:
     def test_regular_grid_entries(self):
         # 24 equal steps over [0, 2]: every entry is sqrt(1/12).
         times = 2.0 / 24.0 * np.arange(1, 25)
-        drift = path_drift_single(times)
-        assert drift.column == approx(np.full(24, np.sqrt(1.0 / 12.0)))
-        assert drift.column[0] == approx(0.2886751, abs=1e-7)
+        column = path_drift_multi(times, 1).apply([1.0])
+        assert column == approx(np.full(24, np.sqrt(1.0 / 12.0)))
+        assert column[0] == approx(0.2886751, abs=1e-7)
 
     def test_single_date(self):
-        drift = path_drift_single([1.0])
+        drift = path_drift_multi([1.0], 1)
         assert drift.apply([1.0]) == approx([1.0])
 
     def test_gram_telescopes_to_total_time(self):
         times = np.array([0.3, 0.9, 1.4, 2.0])
-        assert path_drift_single(times).gram().matrix == approx(np.array([[2.0]]))
+        assert path_drift_multi(times, 1).gram() == approx(np.array([[2.0]]))
 
     def test_apply_regular_unit_grid(self):
-        drift = path_drift_single([0.25, 0.5, 0.75, 1.0])
+        drift = path_drift_multi([0.25, 0.5, 0.75, 1.0], 1)
         assert drift.apply([2.0]) == approx(np.ones(4))
 
     def test_adjoint_sums_scaled_coordinates(self):
-        drift = path_drift_single([0.25, 0.5, 0.75, 1.0])
+        drift = path_drift_multi([0.25, 0.5, 0.75, 1.0], 1)
         assert drift.apply_adjoint(np.ones(4)) == approx([2.0])
 
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidGrid):
-            path_drift_single([1.0, 0.5])
+            path_drift_multi([1.0, 0.5], 1)
 
 
 class TestPathMulti:
     def test_single_asset_reduces_to_path_single(self):
+        # One asset: A is the column of square-rooted time steps.
         times = np.array([0.5, 1.0, 1.5])
         multi = path_drift_multi(times, 1)
-        single = path_drift_single(times)
+        column = np.sqrt(np.diff(times, prepend=0.0))[:, None]
         v = np.array([0.7])
-        assert multi.apply(v) == approx(single.apply(v))
+        assert multi.apply(v) == approx(column @ v)
         x = np.arange(3.0)
-        assert multi.apply_adjoint(x) == approx(single.apply_adjoint(x))
+        assert multi.apply_adjoint(x) == approx(x @ column)
 
     def test_gram_regular_grid(self):
         times = 2.0 / 24.0 * np.arange(1, 25)
-        assert path_drift_multi(times, 5).gram().matrix == approx(2.0 * np.eye(5))
+        assert path_drift_multi(times, 5).gram() == approx(2.0 * np.eye(5))
 
     def test_sparsity_pattern(self):
         times = np.array([0.5, 1.0])
@@ -106,7 +107,7 @@ class TestDense:
 
     def test_gram_hand_product(self):
         drift = dense_map(np.array([[1.0, 0.0], [1.0, 1.0]]))
-        assert drift.gram().matrix == approx(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        assert drift.gram() == approx(np.array([[2.0, 1.0], [1.0, 1.0]]))
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficientDriftMap):
@@ -147,8 +148,8 @@ class TestLoader:
 def _random_map(kind: str, rng):
     if kind == "identity":
         return identity_map(rng.integers(1, 7))
-    if kind == "path_single":
-        return path_drift_single(np.cumsum(rng.uniform(0.1, 1.0, rng.integers(1, 7))))
+    if kind == "path_single":  # the config alias for a one-asset path_multi
+        return path_drift_multi(np.cumsum(rng.uniform(0.1, 1.0, rng.integers(1, 7))), 1)
     if kind == "path_multi":
         times = np.cumsum(rng.uniform(0.1, 1.0, rng.integers(1, 5)))
         return path_drift_multi(times, int(rng.integers(1, 5)))
@@ -182,10 +183,11 @@ def test_gram_equals_adjoint_of_apply_on_basis(seed, kind):
     composed = np.column_stack(
         [drift.apply_adjoint(drift.apply(basis)) for basis in np.eye(drift.d_reduced)]
     )
-    assert np.abs(composed - gram.matrix).max() <= 1e-12
-    # Constructor-produced maps always factor.
-    assert gram.factor.shape == (drift.d_reduced, drift.d_reduced)
-    assert gram.min_eigenvalue > 0.0
+    assert gram.shape == (drift.d_reduced, drift.d_reduced)
+    assert np.abs(composed - gram).max() <= 1e-12
+    # Constructor-produced maps have a positive-definite Gram matrix.
+    np.linalg.cholesky(gram)
+    assert np.linalg.eigvalsh(gram)[0] > 0.0
 
 
 @settings(deadline=None, max_examples=30)

@@ -35,7 +35,7 @@ from tiltmc import (
     draw_samples,
     identity_map,
     new_stream,
-    path_drift_single,
+    path_drift_multi,
     run_pipeline,
     tilted_mean,
     tilted_terms,
@@ -156,7 +156,7 @@ class TestPipelines:
 
         payoff = build_payoff(model, BarrierCall(strike=110.0, barrier=80.0))
         block = draw_samples(new_stream(41, 0), 4_000, 24)
-        drift = path_drift_single(times)
+        drift = path_drift_multi(times, 1)
         report = run_pipeline(block, payoff, "rris", drift)
         assert report.theta_reduced.shape == (1,)
         assert report.theta == approx(drift.apply(report.theta_reduced))
@@ -225,7 +225,7 @@ class TestPipelines:
         model = LocalVol1D(spot=100.0, rate=0.05, maturity=1.0, n_steps=64, vol_fn=ConstantVol(0.2))
         payoff = build_payoff(model, VanillaCall(strike=100.0))
         block = draw_samples(new_stream(500, 0), 50_000, 64)
-        report = run_pipeline(block, payoff, "rris", path_drift_single(model.times))
+        report = run_pipeline(block, payoff, "rris", path_drift_multi(model.times, 1))
         exact = bs_call_price(100.0, 100.0, 0.05, 0.2, 1.0)
         band = 4.0 * np.sqrt(report.variance / report.n) + 0.01
         assert report.price == approx(exact, abs=band)
@@ -279,6 +279,15 @@ class TestCoverage:
         assert result.failures > 0
         assert result.replications == 60
         assert 0 <= result.hits <= 60 - result.failures
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_error_in_payoff_propagates(self, threads):
+        def broken(x):
+            raise TypeError("payoff bug")
+
+        payoff = Payoff.from_function(1, broken)
+        with pytest.raises(TypeError, match="payoff bug"):
+            coverage_experiment(payoff, "ris", 100, 3, 0.0, replications=4, threads=threads)
 
     def test_thread_count_does_not_change_outcome(self):
         payoff = Payoff.from_function(1, lambda x: np.abs(x[..., 0]))

@@ -2,7 +2,7 @@
 
 Claims:
     - draws are a pure function of (seed, stream_id, index): bit-identical
-      re-draws, chunk/worker-independent fills, stream separation
+      re-draws, chunk-independent fills, stream separation
     - marginals are standard normal (moment bounds and column-wise KS)
     - equicorrelation Cholesky is exact and rejects inadmissible rho
     - the path map realizes the discrete Brownian covariance exactly
@@ -55,16 +55,16 @@ class TestStreams:
         tail = normal_draws(stream.advanced(25), 35)
         assert (tail == whole[25:]).all()
 
-    def test_worker_count_does_not_change_block(self):
-        serial = draw_samples(new_stream(11, 0), 100, 2)
-        threaded = draw_samples(new_stream(11, 0), 100, 2, workers=4)
-        assert (serial.values == threaded.values).all()
+    def test_block_is_flat_stream_in_row_major_order(self):
+        block = draw_samples(new_stream(11, 0), 100, 2)
+        flat = normal_draws(new_stream(11, 0), 200)
+        assert (block.values == flat.reshape(100, 2)).all()
 
-    def test_workers_identical_on_multi_chunk_block(self):
+    def test_multi_chunk_block_is_flat_stream(self):
         # Large enough to span several fill chunks.
-        serial = draw_samples(new_stream(11, 1), 50_000, 4)
-        threaded = draw_samples(new_stream(11, 1), 50_000, 4, workers=8)
-        assert (serial.values == threaded.values).all()
+        block = draw_samples(new_stream(11, 1), 50_000, 4)
+        flat = normal_draws(new_stream(11, 1), 200_000)
+        assert (block.values == flat.reshape(50_000, 4)).all()
 
     def test_regenerate_is_bit_identical(self):
         block = draw_samples(new_stream(21, 3).advanced(17), 64, 5)
@@ -110,13 +110,15 @@ class TestMarginals:
 class TestCorrelationChol:
     def test_uncorrelated_is_identity(self):
         chol = cholesky_correlation(2, 0.0)
-        assert chol.factor == approx(np.eye(2))
+        assert chol == approx(np.eye(2))
+        with pytest.raises(ValueError):
+            chol[0, 0] = 2.0  # the factor is read-only
 
     def test_two_by_two_hand_value(self):
         chol = cholesky_correlation(2, 0.5)
-        assert chol.factor[0] == approx([1.0, 0.0])
-        assert chol.factor[1] == approx([0.5, np.sqrt(0.75)])
-        assert chol.factor[1, 1] == approx(0.8660254, abs=1e-7)
+        assert chol[0] == approx([1.0, 0.0])
+        assert chol[1] == approx([0.5, np.sqrt(0.75)])
+        assert chol[1, 1] == approx(0.8660254, abs=1e-7)
 
     def test_inadmissible_rho_rejected(self):
         with pytest.raises(InvalidCorrelation):
@@ -125,7 +127,7 @@ class TestCorrelationChol:
             cholesky_correlation(2, 1.0)
 
     def test_single_asset_accepts_any_rho(self):
-        assert cholesky_correlation(1, -5.0).factor == approx(np.ones((1, 1)))
+        assert cholesky_correlation(1, -5.0) == approx(np.ones((1, 1)))
 
     @pytest.mark.parametrize("dim", [2, 5, 17, 64])
     @pytest.mark.parametrize("rho", [-0.01, 0.0, 0.3, 0.9, 0.999])
@@ -133,7 +135,10 @@ class TestCorrelationChol:
         if dim > 1 and rho <= -1.0 / (dim - 1):
             pytest.skip("inadmissible pair")
         chol = cholesky_correlation(dim, rho)
-        residual = np.abs(chol.factor @ chol.factor.T - chol.matrix).max()
+        equicorrelation = np.full((dim, dim), rho)
+        np.fill_diagonal(equicorrelation, 1.0)
+        assert np.array_equal(chol, np.tril(chol))
+        residual = np.abs(chol @ chol.T - equicorrelation).max()
         assert residual <= 1e-12
 
 

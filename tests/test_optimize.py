@@ -40,7 +40,6 @@ from tiltmc import (
     new_stream,
     newton_minimize,
     path_drift_multi,
-    path_drift_single,
     precompute_weights,
 )
 
@@ -156,7 +155,7 @@ def _random_config(rng):
         drift = identity_map(d)
     elif kind == "path_single":
         d = int(rng.integers(2, 7))
-        drift = path_drift_single(np.cumsum(rng.uniform(0.1, 0.5, d)))
+        drift = path_drift_multi(np.cumsum(rng.uniform(0.1, 0.5, d)), 1)
     elif kind == "path_multi":
         steps, assets = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         drift = path_drift_multi(np.cumsum(rng.uniform(0.1, 0.5, steps)), assets)
@@ -212,7 +211,7 @@ class TestDerivativeOracles:
         for _ in range(25):
             table, drift, theta = _random_config(rng)
             _, hess = eval_un_derivatives(table, drift, theta)
-            gap = hess - drift.gram().matrix
+            gap = hess - drift.gram()
             np.linalg.cholesky(gap + 1e-10 * np.eye(gap.shape[0]))  # raises if not PSD
 
 
@@ -306,8 +305,8 @@ class TestThetaCovariance:
         block = draw_samples(new_stream(400, 0), 200_000, 1)
         table = precompute_weights(block, ONES_PAYOFF_1D)
         result = newton_minimize(table, identity_map(1))
-        cov = estimate_theta_covariance(table, identity_map(1), result.theta)
-        assert cov.gamma[0, 0] == approx(0.25, rel=0.05)
+        gamma = estimate_theta_covariance(table, identity_map(1), result.theta)
+        assert gamma[0, 0] == approx(0.25, rel=0.05)
 
     def test_exponential_payoff_value(self):
         # Gaussian-moment calculus gives gamma = e^{sigma^2} (1 + sigma^2)/4
@@ -315,15 +314,16 @@ class TestThetaCovariance:
         block = draw_samples(new_stream(401, 0), 1_000_000, 1)
         table = precompute_weights(block, EXP_PAYOFF)
         result = newton_minimize(table, identity_map(1))
-        cov = estimate_theta_covariance(table, identity_map(1), result.theta)
+        gamma = estimate_theta_covariance(table, identity_map(1), result.theta)
         expected = np.exp(0.04) * 1.04 / 4.0
-        assert cov.gamma[0, 0] == approx(expected, rel=0.10)
+        assert gamma[0, 0] == approx(expected, rel=0.10)
 
     def test_symmetric_and_psd_on_random_configs(self):
         rng = np.random.default_rng(31415)
         for _ in range(10):
             table, drift, _ = _random_config(rng)
             result = newton_minimize(table, drift)
-            cov = estimate_theta_covariance(table, drift, result.theta)
-            assert np.abs(cov.gamma - cov.gamma.T).max() <= 1e-10
-            np.linalg.cholesky(cov.gamma + 1e-12 * np.eye(cov.gamma.shape[0]))
+            gamma = estimate_theta_covariance(table, drift, result.theta)
+            assert gamma.shape == (drift.d_reduced, drift.d_reduced)
+            assert np.abs(gamma - gamma.T).max() <= 1e-10
+            np.linalg.cholesky(gamma + 1e-12 * np.eye(gamma.shape[0]))

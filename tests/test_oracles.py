@@ -144,6 +144,6 @@ class TestThetaStar:
         table = precompute_weights(block, payoff)
         drift = identity_map(1)
         result = newton_minimize(table, drift)
-        gamma = estimate_theta_covariance(table, drift, result.theta).gamma[0, 0]
+        gamma = estimate_theta_covariance(table, drift, result.theta)[0, 0]
         band = 4.0 * np.sqrt(gamma / table.n)
         assert result.theta[0] == approx(theta_star, abs=band)

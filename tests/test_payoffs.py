@@ -32,12 +32,11 @@ from tiltmc import (
     TabulatedVol,
     VanillaCall,
     VanillaPut,
-    asset_paths,
     bs_call_price,
     build_payoff,
     draw_samples,
     new_stream,
-    path_drift_single,
+    path_drift_multi,
 )
 
 
@@ -49,7 +48,7 @@ def _basket40(rho=0.2, strike=50.0):
 class TestAssetPaths:
     def test_bs_at_zero_noise(self):
         model = BlackScholesMulti.create(1, [1.0], 50.0, 0.2, 0.05)
-        s = asset_paths(model, np.zeros(1))
+        s = model.paths(np.zeros(1))
         # S_T = S0 exp((r - sigma^2/2) T) = 50 e^{0.03}
         assert s[0, 0] == approx(50.0 * np.exp(0.03))
         assert s[0, 0] == approx(51.52273, abs=1e-5)
@@ -57,7 +56,7 @@ class TestAssetPaths:
     def test_localvol_zero_vol_is_deterministic(self):
         model = LocalVol1D(spot=80.0, rate=0.03, maturity=1.0, n_steps=5, vol_fn=ConstantVol(1e-12))
         x = np.array([3.0, -2.0, 1.0, 0.0, 5.0])
-        s = asset_paths(model, x)[:, 0]
+        s = model.paths(x)[:, 0]
         h = 1.0 / 5.0
         expected = 80.0 * (1.0 + 0.03 * h) ** np.arange(1, 6)
         assert s == approx(expected, rel=1e-9)
@@ -66,15 +65,15 @@ class TestAssetPaths:
         sigma, maturity = 0.25, 1.0
         model = LocalVol1D(spot=100.0, rate=0.05, maturity=maturity, n_steps=1, vol_fn=ConstantVol(sigma))
         x = np.array([0.7])
-        s = asset_paths(model, x)
+        s = model.paths(x)
         assert s[0, 0] == approx(100.0 * (1.0 + sigma * np.sqrt(maturity) * 0.7 + 0.05 * maturity))
 
     def test_batched_evaluation_matches_single(self):
         model = BlackScholesMulti.create(2, [0.5, 1.0], [50.0, 60.0], [0.2, 0.3], 0.05, 0.4)
         rng = np.random.default_rng(5)
         batch = rng.standard_normal((7, model.dim))
-        stacked = np.stack([asset_paths(model, row) for row in batch])
-        assert asset_paths(model, batch) == approx(stacked)
+        stacked = np.stack([model.paths(row) for row in batch])
+        assert model.paths(batch) == approx(stacked)
 
     def test_terminal_law_matches_closed_form_call(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
@@ -107,7 +106,7 @@ class TestClaims:
         # First coordinate very negative: monitoring date breaches the
         # barrier even though the terminal value recovers above the strike.
         x = np.array([-4.0, 8.0])
-        s = asset_paths(model, x)[:, 0]
+        s = model.paths(x)[:, 0]
         assert s[0] < 80.0 < s[1]
         assert payoff(x) == 0.0
 
@@ -166,7 +165,7 @@ class TestMonotonicityAlongDrift:
         times = 2.0 / 24.0 * np.arange(1, 25)
         model = BlackScholesMulti.create(1, times, 100.0, 0.2, 0.05)
         payoff = build_payoff(model, BarrierCall(strike=110.0, barrier=80.0))
-        drift = path_drift_single(times)
+        drift = path_drift_multi(times, 1)
         rng = np.random.default_rng(11)
         for _ in range(50):
             x = rng.standard_normal(24)
@@ -241,4 +240,4 @@ class TestLocalVolSurfaces:
         model_tab = LocalVol1D(spot=100.0, rate=0.05, maturity=1.0, n_steps=4, vol_fn=vol)
         model_const = LocalVol1D(spot=100.0, rate=0.05, maturity=1.0, n_steps=4, vol_fn=ConstantVol(0.2))
         x = np.random.default_rng(2).standard_normal((6, 4))
-        assert asset_paths(model_tab, x) == approx(asset_paths(model_const, x))
+        assert model_tab.paths(x) == approx(model_const.paths(x))
