@@ -41,7 +41,6 @@ from .estimate import (
     confidence_interval,
     coverage_experiment,
     run_pipeline,
-    tilted_mean,
     tilted_terms,
     variance_estimate,
 )
@@ -52,7 +51,6 @@ from .gaussian import (
     build_path_map,
     cholesky_correlation,
     draw_samples,
-    new_stream,
     normal_draws,
     regenerate,
 )

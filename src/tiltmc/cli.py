@@ -40,7 +40,14 @@ from .config import (
     with_overrides,
 )
 from .errors import ConfigError, TiltmcError
-from .estimate import CoverageResult, EstimateReport, coverage_experiment, run_pipeline
+from .estimate import (
+    CSV_COLUMNS,
+    CoverageResult,
+    EstimateReport,
+    coverage_experiment,
+    fmt17,
+    run_pipeline,
+)
 from .gaussian import RngStream, draw_samples, normal_draws
 from .oracles import bs_call_price, bs_digital_price, bs_put_price
 from .payoffs import BlackScholesMulti, Digital, VanillaCall, VanillaPut
@@ -98,10 +105,6 @@ def run_experiment(
     return [item for chunk in nested for item in chunk]
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def emit_report(rows: list[ResultRow], fmt: str, *, timings: bool = False) -> str:
     """Render result rows as aligned text or CSV.
 
@@ -111,21 +114,21 @@ def emit_report(rows: list[ResultRow], fmt: str, *, timings: bool = False) -> st
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        header = ["experiment", "row"] + EstimateReport.csv_header()
+        header = ["experiment", "row", *CSV_COLUMNS]
         if timings:
             header.append("wall_time")
         header.append("error")
         writer.writerow(header)
         for row in rows:
             if row.report is None:
-                record = [row.experiment, row.label] + [""] * len(EstimateReport.csv_header())
+                record = [row.experiment, row.label] + [""] * len(CSV_COLUMNS)
                 if timings:
                     record.append("")
                 record.append(row.error or "failed")
             else:
                 record = [row.experiment, row.label] + row.report.to_csv_row()
                 if timings:
-                    record.append(_fmt17(row.report.wall_time))
+                    record.append(fmt17(row.report.wall_time))
                 record.append("")
             writer.writerow(record)
         return buffer.getvalue()
@@ -146,7 +149,7 @@ def emit_report(rows: list[ResultRow], fmt: str, *, timings: bool = False) -> st
                 f"{rep.variance:.6f}" + ("c" if rep.variance_clamped else ""),
                 f"{rep.ci_low:.6f}",
                 f"{rep.ci_high:.6f}",
-                str(rep.iterations),
+                str(0 if rep.optim is None else rep.optim.iterations),
                 f"{rep.wall_time:.3f}",
             ]
         )
@@ -211,9 +214,9 @@ def _emit_coverage(
              "hits", "failures", "empirical_level", "reference"]
         )
         writer.writerow(
-            [name, label, mode, str(spec.n), _fmt17(spec.level), str(result.replications),
+            [name, label, mode, str(spec.n), fmt17(spec.level), str(result.replications),
              str(result.hits), str(result.failures),
-             _fmt17(result.empirical_level), _fmt17(reference)]
+             fmt17(result.empirical_level), fmt17(reference)]
         )
         return buffer.getvalue()
     return (

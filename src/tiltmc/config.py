@@ -245,7 +245,7 @@ def _build_model(section: _Section):
     kind = fields.string("kind", required=True, choices=("bs", "localvol"))
     if kind == "bs":
         assets = fields.integer("assets", default=1)
-        steps = fields.integer("steps", default=1)
+        steps = fields.integer("steps")
         maturity = fields.number("maturity")
         spot = _broadcast(fields.vector("spot", required=True), assets, "spot")
         vol = _broadcast(fields.vector("vol", required=True), assets, "vol")
@@ -262,6 +262,7 @@ def _build_model(section: _Section):
                 field="rho",
             )
         if times is None:
+            steps = 1 if steps is None else steps
             if maturity is None:
                 raise ConfigError("missing required key 'maturity'", field="maturity")
             if steps < 1:
@@ -272,6 +273,10 @@ def _build_model(section: _Section):
         elif maturity is not None and abs(times[-1] - maturity) > 1e-12:
             raise ConfigError(
                 f"'times' ends at {times[-1]} but 'maturity' says {maturity}", field="times"
+            )
+        elif steps is not None and steps != times.size:
+            raise ConfigError(
+                f"'steps' is {steps} but 'times' lists {times.size} dates", field="steps"
             )
         try:
             return BlackScholesMulti.create(assets, times, spot, vol, rate, rho)
@@ -544,6 +549,7 @@ def with_overrides(spec: ExperimentSpec, *, n=None, seed=None, modes=None, level
     if seed is not None:
         updates["seed"] = seed
     if modes is not None:
+        _check_modes(modes)
         updates["modes"] = tuple(modes)
     if level is not None:
         updates["level"] = level

@@ -23,12 +23,7 @@ from scipy.special import ndtri
 from .drift import DriftMap, identity_map
 from .errors import ConvergenceFailure, NonFiniteEstimate, TiltmcError
 from .gaussian import RngStream, SampleBlock, draw_samples
-from .optimize import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    newton_minimize,
-    precompute_weights,
-)
+from .optimize import OptimResult, newton_minimize, precompute_weights
 from .payoffs import Payoff
 
 __all__ = [
@@ -36,7 +31,6 @@ __all__ = [
     "EstimateReport",
     "CoverageResult",
     "tilted_terms",
-    "tilted_mean",
     "variance_estimate",
     "confidence_interval",
     "run_pipeline",
@@ -44,6 +38,11 @@ __all__ = [
 ]
 
 MODES = ("crude", "ris", "rris", "two_stage")
+
+# two_stage tunes on stream ``stream_id ^ _OPTIMIZER_STREAM_BIT``. Rows,
+# replications and the reference price number their streams from 0 upward,
+# well below 2**63, so the optimizer never reuses another run's samples.
+_OPTIMIZER_STREAM_BIT = 1 << 63
 
 CSV_COLUMNS = (
     "mode",
@@ -78,15 +77,6 @@ def tilted_terms(samples: SampleBlock, payoff: Payoff, theta) -> np.ndarray:
     return terms
 
 
-def tilted_mean(samples: SampleBlock, payoff: Payoff, theta) -> float:
-    """Importance-sampling estimate of E[f(G)] at a fixed drift theta.
-
-    Summation is numpy's pairwise reduction over the sample index, so the
-    result is reproducible for a given block regardless of worker threads.
-    """
-    return float(tilted_terms(samples, payoff, theta).mean())
-
-
 def variance_estimate(v_at_min: float, price: float) -> tuple[float, bool]:
     """Asymptotic-variance estimate v_n(theta_n) - M_n^2, clamped at zero.
 
@@ -115,11 +105,16 @@ def confidence_interval(price: float, variance: float, n: int, level: float) -> 
     return float(price - half), float(price + half)
 
 
+def fmt17(x) -> str:
+    """A float with 17 significant digits: re-parsing it is bit-exact."""
+    return format(float(x), ".17g")
+
+
 @dataclass(frozen=True, eq=False)
 class EstimateReport:
-    """Price estimate with its interval, tilt, and optimizer diagnostics.
+    """Price estimate with its interval, tilt, and optimizer result.
 
-    ``theta_reduced`` / ``theta`` are None in crude mode (and on fallback).
+    ``theta`` and ``optim`` are None in crude mode and on fallback.
     ``fallback`` marks a run where the optimizer failed to converge and the
     pipeline degraded to the untilted estimate rather than aborting.
     """
@@ -132,40 +127,32 @@ class EstimateReport:
     ci_low: float
     ci_high: float
     level: float
-    theta_reduced: np.ndarray | None
     theta: np.ndarray | None
-    iterations: int
-    grad_norm: float
-    u_value: float
-    v_value: float
-    safeguarded: bool
+    optim: OptimResult | None
     fallback: bool
     wall_time: float
     sample_provenance: RngStream
     optimizer_provenance: RngStream | None
 
-    @staticmethod
-    def csv_header() -> list[str]:
-        return list(CSV_COLUMNS)
-
     def to_csv_row(self) -> list[str]:
-        def fmt(x):
-            return format(float(x), ".17g")
-
-        theta_norm = 0.0 if self.theta is None else float(np.linalg.norm(self.theta))
+        if self.optim is None:
+            iterations, grad_norm, safeguarded, theta_norm = 0, float("nan"), False, 0.0
+        else:
+            iterations, grad_norm = self.optim.iterations, self.optim.grad_norm
+            safeguarded, theta_norm = self.optim.safeguarded, float(np.linalg.norm(self.theta))
         return [
             self.mode,
             str(self.n),
-            fmt(self.price),
-            fmt(self.variance),
+            fmt17(self.price),
+            fmt17(self.variance),
             str(int(self.variance_clamped)),
-            fmt(self.ci_low),
-            fmt(self.ci_high),
-            fmt(self.level),
-            str(self.iterations),
-            fmt(self.grad_norm),
-            fmt(theta_norm),
-            str(int(self.safeguarded)),
+            fmt17(self.ci_low),
+            fmt17(self.ci_high),
+            fmt17(self.level),
+            str(iterations),
+            fmt17(grad_norm),
+            fmt17(theta_norm),
+            str(int(safeguarded)),
             str(int(self.fallback)),
         ]
 
@@ -178,45 +165,16 @@ class EstimateReport:
             + ("  (clamped at 0)" if self.variance_clamped else ""),
             f"{100 * self.level:.0f}% interval    [{self.ci_low:.6f}, {self.ci_high:.6f}]",
         ]
-        if self.theta_reduced is not None:
+        if self.optim is not None:
             with np.printoptions(precision=5, suppress=True, threshold=8):
-                lines.append(f"tilt (reduced)  {self.theta_reduced}")
+                lines.append(f"tilt (reduced)  {self.optim.theta}")
             lines.append(
-                f"optimizer       {self.iterations} iterations, "
-                f"|grad| = {self.grad_norm:.2e}"
-                + (", safeguarded" if self.safeguarded else "")
+                f"optimizer       {self.optim.iterations} iterations, "
+                f"|grad| = {self.optim.grad_norm:.2e}"
+                + (", safeguarded" if self.optim.safeguarded else "")
             )
         lines.append(f"wall time       {self.wall_time:.3f} s")
         return "\n".join(lines)
-
-
-def _crude_report(samples, payoff, level, started, *, mode="crude", fallback=False) -> EstimateReport:
-    terms = tilted_terms(samples, payoff, np.zeros(samples.d))
-    price = float(terms.mean())
-    second_moment = float((terms * terms).mean())
-    variance, clamped = variance_estimate(second_moment, price)
-    low, high = confidence_interval(price, variance, samples.n, level)
-    return EstimateReport(
-        mode=mode,
-        n=samples.n,
-        price=price,
-        variance=variance,
-        variance_clamped=clamped,
-        ci_low=low,
-        ci_high=high,
-        level=level,
-        theta_reduced=None,
-        theta=None,
-        iterations=0,
-        grad_norm=float("nan"),
-        u_value=float("nan"),
-        v_value=float("nan"),
-        safeguarded=False,
-        fallback=fallback,
-        wall_time=time.perf_counter() - started,
-        sample_provenance=samples.provenance,
-        optimizer_provenance=None,
-    )
 
 
 def run_pipeline(
@@ -226,8 +184,6 @@ def run_pipeline(
     drift: DriftMap | None = None,
     *,
     level: float = 0.95,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> EstimateReport:
     """Run one estimation pipeline over a stored sample block.
 
@@ -243,45 +199,46 @@ def run_pipeline(
     rris
         Same-sample tilt restricted to the supplied drift map's subspace.
     two_stage
-        Tilt optimized on an independent stream (stream_id + 1, counter 0);
-        the main block is used only for the final estimate.
+        Tilt optimized on an independent block of the same seed, drawn from
+        the reserved stream ``stream_id ^ 2**63``; the main block is used
+        only for the final estimate.
 
-    A :class:`ConvergenceFailure` in the optimizer degrades to the crude
+    Every mode evaluates the same estimator M_n at its tilt (zero for
+    crude) with the second moment v_n at that tilt. A
+    :class:`ConvergenceFailure` in the optimizer degrades to the crude
     estimate with ``fallback=True`` and a warning instead of raising, so
     batch runs keep going.
     """
     started = time.perf_counter()
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "crude":
-        return _crude_report(samples, payoff, level, started)
-
-    if mode == "ris":
-        drift = identity_map(samples.d)
-    elif drift is None:
-        if mode == "rris":
+    optim = theta = None
+    if mode != "crude":
+        if mode == "rris" and drift is None:
             raise ValueError("rris mode needs a drift map; use mode='ris' for the full space")
-        drift = identity_map(samples.d)
-
-    if mode == "two_stage":
-        opt_samples = draw_samples(samples.provenance.substream(1), samples.n, samples.d)
-    else:
+        if mode == "ris" or drift is None:
+            drift = identity_map(samples.d)
         opt_samples = samples
+        if mode == "two_stage":
+            stream = samples.provenance
+            opt_stream = RngStream(stream.seed, stream.stream_id ^ _OPTIMIZER_STREAM_BIT)
+            opt_samples = draw_samples(opt_stream, samples.n, samples.d)
+        weights = precompute_weights(opt_samples, payoff)
+        try:
+            optim = newton_minimize(weights, drift)
+        except ConvergenceFailure as exc:
+            warnings.warn(
+                f"tilt optimization failed ({exc}); falling back to the untilted estimate",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        else:
+            theta = drift.apply(optim.theta)
 
-    weights = precompute_weights(opt_samples, payoff)
-    try:
-        result = newton_minimize(weights, drift, tol=tol, max_iter=max_iter)
-    except ConvergenceFailure as exc:
-        warnings.warn(
-            f"tilt optimization failed ({exc}); falling back to the untilted estimate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _crude_report(samples, payoff, level, started, mode=mode, fallback=True)
-
-    theta = drift.apply(result.theta)
-    price = tilted_mean(samples, payoff, theta)
-    variance, clamped = variance_estimate(result.v_value, price)
+    terms = tilted_terms(samples, payoff, np.zeros(samples.d) if theta is None else theta)
+    price = float(terms.mean())
+    second_moment = float((terms * terms).mean()) if optim is None else optim.v_value
+    variance, clamped = variance_estimate(second_moment, price)
     low, high = confidence_interval(price, variance, samples.n, level)
     return EstimateReport(
         mode=mode,
@@ -292,17 +249,12 @@ def run_pipeline(
         ci_low=low,
         ci_high=high,
         level=level,
-        theta_reduced=result.theta,
         theta=theta,
-        iterations=result.iterations,
-        grad_norm=result.grad_norm,
-        u_value=result.u_value,
-        v_value=result.v_value,
-        safeguarded=result.safeguarded,
-        fallback=False,
+        optim=optim,
+        fallback=mode != "crude" and optim is None,
         wall_time=time.perf_counter() - started,
         sample_provenance=samples.provenance,
-        optimizer_provenance=opt_samples.provenance,
+        optimizer_provenance=None if optim is None else opt_samples.provenance,
     )
 
 
@@ -330,22 +282,20 @@ def coverage_experiment(
     replications: int,
     drift: DriftMap | None = None,
     level: float = 0.95,
-    base_stream_id: int = 0,
     threads: int = 1,
 ) -> CoverageResult:
     """Fraction of replicated confidence intervals containing ``reference``.
 
-    Replication r uses stream_id = base_stream_id + r, so runs are
-    independent and individually reproducible. Replications that fail with
-    a :class:`TiltmcError` (e.g. a degenerate payoff on a small block) are
+    Replication r uses stream_id = r, so runs are independent and
+    individually reproducible. Replications that fail with a
+    :class:`TiltmcError` (e.g. a degenerate payoff on a small block) are
     counted and excluded from the empirical level; other exceptions propagate.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
 
     def one(rep: int) -> bool | None:
-        stream = RngStream(seed, base_stream_id + rep)
-        block = draw_samples(stream, n, payoff.dim)
+        block = draw_samples(RngStream(seed, rep), n, payoff.dim)
         try:
             report = run_pipeline(block, payoff, mode, drift, level=level)
         except TiltmcError:

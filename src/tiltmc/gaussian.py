@@ -22,7 +22,6 @@ __all__ = [
     "RngStream",
     "SampleBlock",
     "PathMap",
-    "new_stream",
     "normal_draws",
     "draw_samples",
     "regenerate",
@@ -46,48 +45,29 @@ _TWO_M53 = 2.0 ** -53
 
 @dataclass(frozen=True)
 class RngStream:
-    """Addressable position in a deterministic normal stream.
+    """A deterministic normal stream, selected by ``seed`` and ``stream_id``.
 
-    ``seed`` and ``stream_id`` select the stream, ``counter`` is the flat
-    index of the next draw. Instances are immutable; advancing returns a
-    new descriptor.
+    Draws within the stream are addressed by flat index through
+    :func:`normal_draws`'s ``offset``.
     """
 
     seed: int
     stream_id: int = 0
-    counter: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream_id", "counter"):
+        for name in ("seed", "stream_id"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        if not 0 <= self.stream_id < 2**64:
-            raise ValueError("stream_id must fit in 64 bits")
-        if self.counter < 0:
-            raise ValueError("counter must be nonnegative")
-
-    def advanced(self, count: int) -> "RngStream":
-        """Descriptor pointing ``count`` draws further into the stream."""
-        return RngStream(self.seed, self.stream_id, self.counter + int(count))
-
-    def substream(self, offset: int) -> "RngStream":
-        """Fresh stream with ``stream_id`` shifted by ``offset``, counter reset."""
-        return RngStream(self.seed, self.stream_id + int(offset), 0)
-
-
-def new_stream(seed: int, stream_id: int = 0) -> RngStream:
-    """Create a stream descriptor positioned at its first draw."""
-    return RngStream(int(seed), int(stream_id), 0)
+            if not 0 <= value < 2**64:
+                raise ValueError(f"{name} must fit in 64 bits")
 
 
 def _raw_words(stream: RngStream, start: int, count: int) -> np.ndarray:
     # Philox emits 4 output words per counter block; advance() moves whole
     # blocks, so address word w as (block w // 4, offset w % 4).
     key = np.array([stream.seed, stream.stream_id], dtype=_U64)
-    block, rem = divmod(stream.counter + start, 4)
+    block, rem = divmod(start, 4)
     gen = Philox(key=key)
     if block:
         gen.advance(block)
@@ -97,8 +77,7 @@ def _raw_words(stream: RngStream, start: int, count: int) -> np.ndarray:
 def normal_draws(stream: RngStream, count: int, offset: int = 0) -> np.ndarray:
     """Standard normal draws at flat indices ``offset .. offset+count-1``.
 
-    The value at each index is a pure function of
-    (seed, stream_id, counter + index).
+    The value at each index is a pure function of (seed, stream_id, index).
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -112,9 +91,9 @@ def normal_draws(stream: RngStream, count: int, offset: int = 0) -> np.ndarray:
 class SampleBlock:
     """Stored i.i.d. standard normal draws with their generator provenance.
 
-    ``values`` has shape (n, d) and is read-only; ``provenance`` is the
-    stream descriptor positioned at the block's first draw, so
-    :func:`regenerate` reproduces the block exactly.
+    ``values`` has shape (n, d) and is read-only; it holds the first n*d
+    draws of the ``provenance`` stream, so :func:`regenerate` reproduces
+    the block exactly.
     """
 
     values: np.ndarray
@@ -136,31 +115,27 @@ class SampleBlock:
         return self.values.shape[1]
 
 
-def draw_samples(
-    stream: RngStream,
-    n: int,
-    d: int,
-    *,
-    max_elements: int = DEFAULT_SAMPLE_BUDGET,
-) -> SampleBlock:
+def draw_samples(stream: RngStream, n: int, d: int) -> SampleBlock:
     """Draw and store an n-by-d block of standard normals.
 
-    Entry (i, j) depends only on (seed, stream_id, counter + i*d + j); the
-    block therefore does not depend on the fill chunk size and can be
-    regenerated from its provenance without storage.
+    Entry (i, j) depends only on (seed, stream_id, i*d + j); the block
+    therefore does not depend on the fill chunk size and can be regenerated
+    from its provenance without storage.
 
     Raises
     ------
     SampleBudgetExceeded
-        If n*d exceeds ``max_elements``. Callers that genuinely need more
-        should regenerate chunks on demand via :func:`normal_draws`.
+        If n*d exceeds ``DEFAULT_SAMPLE_BUDGET``. Callers that genuinely
+        need more should regenerate chunks on demand via
+        :func:`normal_draws`.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     total = n * d
-    if total > max_elements:
+    if total > DEFAULT_SAMPLE_BUDGET:
         raise SampleBudgetExceeded(
-            f"block of {n}x{d} = {total} doubles exceeds budget of {max_elements} elements"
+            f"block of {n}x{d} = {total} doubles exceeds budget of "
+            f"{DEFAULT_SAMPLE_BUDGET} elements"
         )
     flat = np.empty(total, dtype=np.float64)
     for lo in range(0, total, _FILL_CHUNK):

@@ -198,7 +198,6 @@ def newton_minimize(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    x0=None,
 ) -> OptimResult:
     """Find the unique minimizer of u_n by safeguarded Newton iteration.
 
@@ -226,7 +225,7 @@ def newton_minimize(
             stacklevel=2,
         )
     obj = _Objective(table, drift)
-    x = np.zeros(obj.d_reduced) if x0 is None else drift._check_reduced(x0).copy()
+    x = np.zeros(obj.d_reduced)
     u, grad, hess = obj.value_grad_hess(x)
     history = [u]
     safeguarded = False

@@ -104,7 +104,10 @@ class TabulatedVol:
         s_grid = np.unique([p[1] for p in triples])
         table = np.full((t_grid.size, s_grid.size), np.nan)
         for t, s, sig in triples:
-            table[np.searchsorted(t_grid, t), np.searchsorted(s_grid, s)] = sig
+            cell = np.searchsorted(t_grid, t), np.searchsorted(s_grid, s)
+            if not np.isnan(table[cell]):
+                raise ValueError(f"{path}: duplicate (t, s) point ({t:g}, {s:g})")
+            table[cell] = sig
         if np.isnan(table).any():
             raise ValueError(f"{path}: (t, s) points do not form a full rectangular grid")
         if (table <= 0).any():

@@ -134,6 +134,15 @@ class TestExitCodes:
         assert main(["price", str(path), "--modes", "ris"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["price", "experiment", "coverage"])
+    def test_bad_mode_override_on_config_file(self, tmp_path, capsys, command):
+        # The override is checked before anything runs: no crude report first.
+        argv = [command, _digital_config(tmp_path), "--modes", "crude", "bogus", "--n", "100"]
+        assert main(argv + ["--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert "field 'modes'" in captured.err
+        assert captured.out == ""
+
     def test_price_success(self, tmp_path, capsys):
         assert main(["price", _digital_config(tmp_path), "--n", "500"]) == 0
         out = capsys.readouterr().out

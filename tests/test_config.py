@@ -219,6 +219,42 @@ modes = crude rris
             parse_config(_write(tmp_path, text))
         assert err.value.field == "times"
 
+    def test_steps_times_disagreement_rejected(self, tmp_path):
+        text = MINIMAL_DIGITAL.replace("maturity = 1", "steps = 24\ntimes = 0.5 1.0")
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, text))
+        assert err.value.field == "steps"
+
+    def test_steps_matching_times_accepted(self, tmp_path):
+        text = MINIMAL_DIGITAL.replace("maturity = 1", "steps = 2\ntimes = 0.5 1.0")
+        assert parse_config(_write(tmp_path, text)).dim == 2
+
+    def test_duplicate_vol_table_point_rejected(self, tmp_path, capsys):
+        table = tmp_path / "vol.csv"
+        table.write_text("0,150,0.2\n1,150,0.2\n1,150,0.9\n")
+        text = """
+[model]
+kind = localvol
+spot = 100
+rate = 0.05
+maturity = 1
+steps = 4
+vol_kind = table
+vol_table = {table}
+
+[claim]
+kind = vanilla_call
+strike = 100
+
+[run]
+n = 500
+seed = 11
+""".format(table=table)
+        assert main(["price", str(_write(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert "field 'vol_table'" in err
+        assert "duplicate (t, s) point (1, 150)" in err
+
     def test_overrides(self, tmp_path):
         spec = parse_config(_write(tmp_path, MINIMAL_DIGITAL))
         bumped = with_overrides(spec, n=5000, seed=1, modes=("crude",))

@@ -20,12 +20,15 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import tiltmc.estimate
 from tiltmc import (
     Basket,
     BlackScholesMulti,
+    ConvergenceFailure,
     DegeneratePayoff,
     Digital,
     Payoff,
+    RngStream,
     VanillaCall,
     bs_call_price,
     bs_digital_price,
@@ -34,26 +37,25 @@ from tiltmc import (
     coverage_experiment,
     draw_samples,
     identity_map,
-    new_stream,
     path_drift_multi,
     run_pipeline,
-    tilted_mean,
     tilted_terms,
     variance_estimate,
 )
+from tiltmc.cli import _REFERENCE_STREAM_ID
 
 EXP_PAYOFF = Payoff.from_function(1, lambda x: np.exp(0.2 * x[..., 0]))
 
 
 class TestTiltedMean:
     def test_zero_tilt_is_plain_mean(self):
-        block = draw_samples(new_stream(1, 0), 5_000, 1)
+        block = draw_samples(RngStream(1, 0), 5_000, 1)
         payoff = Payoff.from_function(1, lambda x: np.maximum(x[..., 0], 0.0))
-        assert tilted_mean(block, payoff, [0.0]) == payoff(block.values).mean()
+        assert tilted_terms(block, payoff, [0.0]).mean() == payoff(block.values).mean()
 
     def test_exponential_summands_are_constant(self):
         # f(x + s) e^{-s x - s^2/2} == e^{s^2/2} identically for f = e^{s x}.
-        block = draw_samples(new_stream(2, 0), 10_000, 1)
+        block = draw_samples(RngStream(2, 0), 10_000, 1)
         terms = tilted_terms(block, EXP_PAYOFF, [0.2])
         assert np.abs(terms - np.exp(0.02)).max() <= 1e-12
         assert terms.std() <= 1e-13
@@ -61,7 +63,7 @@ class TestTiltedMean:
     def test_constant_payoff_unbiased_under_tilt(self):
         c = 2.5
         payoff = Payoff.from_function(2, lambda x: np.full(x.shape[:-1], c))
-        block = draw_samples(new_stream(3, 0), 100_000, 2)
+        block = draw_samples(RngStream(3, 0), 100_000, 2)
         terms = tilted_terms(block, payoff, [0.4, -0.3])
         se = terms.std() / np.sqrt(terms.size)
         assert terms.mean() == approx(c, abs=4 * se)
@@ -70,15 +72,15 @@ class TestTiltedMean:
         # 10^4 replications of n = 100 collapse to one mean over 10^6 draws.
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
         payoff = build_payoff(model, VanillaCall(strike=100.0))
-        block = draw_samples(new_stream(4, 0), 1_000_000, 1)
+        block = draw_samples(RngStream(4, 0), 1_000_000, 1)
         terms = tilted_terms(block, payoff, [0.5])
         se = terms.std() / np.sqrt(terms.size)
         assert terms.mean() == approx(bs_call_price(100.0, 100.0, 0.05, 0.2, 1.0), abs=4 * se)
 
     def test_dimension_check(self):
-        block = draw_samples(new_stream(5, 0), 10, 2)
+        block = draw_samples(RngStream(5, 0), 10, 2)
         with pytest.raises(ValueError):
-            tilted_mean(block, EXP_PAYOFF, [0.1, 0.2])
+            tilted_terms(block, EXP_PAYOFF, [0.1, 0.2])
 
 
 class TestVarianceEstimate:
@@ -124,7 +126,7 @@ class TestConfidenceInterval:
 def _basket_setup(n=10_000, seed=99):
     model = BlackScholesMulti.create(40, [1.0], 50.0, 0.2, 0.05, 0.2)
     payoff = build_payoff(model, Basket(weights=np.full(40, 1.0 / 40.0), strike=50.0))
-    block = draw_samples(new_stream(seed, 0), n, 40)
+    block = draw_samples(RngStream(seed, 0), n, 40)
     return block, payoff
 
 
@@ -132,9 +134,9 @@ class TestPipelines:
     def test_crude_price_is_zero_tilt_mean_bitwise(self):
         block, payoff = _basket_setup(n=2_000)
         report = run_pipeline(block, payoff, "crude")
-        assert report.price == tilted_mean(block, payoff, np.zeros(40))
+        assert report.price == tilted_terms(block, payoff, np.zeros(40)).mean()
         assert report.theta is None
-        assert report.iterations == 0
+        assert report.optim is None
 
     def test_same_samples_feed_optimizer_and_estimate(self):
         block, payoff = _basket_setup(n=2_000)
@@ -143,11 +145,17 @@ class TestPipelines:
         assert report.sample_provenance == block.provenance
 
     def test_two_stage_uses_independent_stream(self):
-        block, payoff = _basket_setup(n=2_000)
-        report = run_pipeline(block, payoff, "two_stage")
-        assert report.optimizer_provenance != block.provenance
-        assert report.optimizer_provenance.stream_id == block.provenance.stream_id + 1
-        assert report.sample_provenance == block.provenance
+        # Rows and coverage replications take stream ids 0, 1, 2, ... and the
+        # reference price takes a reserved id. The optimizer block of any of
+        # those runs must be drawn from a stream none of them uses.
+        _, payoff = _basket_setup(n=1)
+        used = set(range(64)) | {_REFERENCE_STREAM_ID}
+        for stream_id in sorted(used):
+            block = draw_samples(RngStream(99, stream_id), 200, 40)
+            report = run_pipeline(block, payoff, "two_stage")
+            assert report.sample_provenance == block.provenance
+            assert report.optimizer_provenance.seed == 99
+            assert report.optimizer_provenance.stream_id not in used
 
     def test_subspace_mode_uses_supplied_drift(self):
         times = 2.0 / 24.0 * np.arange(1, 25)
@@ -155,11 +163,11 @@ class TestPipelines:
         from tiltmc import BarrierCall
 
         payoff = build_payoff(model, BarrierCall(strike=110.0, barrier=80.0))
-        block = draw_samples(new_stream(41, 0), 4_000, 24)
+        block = draw_samples(RngStream(41, 0), 4_000, 24)
         drift = path_drift_multi(times, 1)
         report = run_pipeline(block, payoff, "rris", drift)
-        assert report.theta_reduced.shape == (1,)
-        assert report.theta == approx(drift.apply(report.theta_reduced))
+        assert report.optim.theta.shape == (1,)
+        assert (report.theta == drift.apply(report.optim.theta)).all()
 
     def test_exponential_variance_collapses_under_tilt(self):
         # Optimal tilt makes the exponential estimator exact: the variance
@@ -167,7 +175,7 @@ class TestPipelines:
         # variance reference E f^2 - (E f)^2 comes from quadrature.
         from tiltmc import gaussian_expectation
 
-        block = draw_samples(new_stream(7, 0), 50_000, 1)
+        block = draw_samples(RngStream(7, 0), 50_000, 1)
         report = run_pipeline(block, EXP_PAYOFF, "ris")
         crude = run_pipeline(block, EXP_PAYOFF, "crude")
         second = gaussian_expectation(lambda y: np.exp(0.4 * y))
@@ -184,16 +192,22 @@ class TestPipelines:
     def test_degenerate_payoff_raises(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
         payoff = build_payoff(model, Digital(level=1e9))
-        block = draw_samples(new_stream(8, 0), 50, 1)
+        block = draw_samples(RngStream(8, 0), 50, 1)
         with pytest.raises(DegeneratePayoff):
             run_pipeline(block, payoff, "ris")
 
-    def test_convergence_failure_falls_back_to_crude(self):
+    def test_convergence_failure_falls_back_to_crude(self, monkeypatch):
+        def fail(table, drift):
+            raise ConvergenceFailure("forced")
+
+        monkeypatch.setattr(tiltmc.estimate, "newton_minimize", fail)
         block, payoff = _basket_setup(n=500)
-        with pytest.warns(RuntimeWarning):
-            report = run_pipeline(block, payoff, "ris", max_iter=0)
+        with pytest.warns(RuntimeWarning, match="forced"):
+            report = run_pipeline(block, payoff, "ris")
         assert report.fallback
         assert report.mode == "ris"
+        assert report.optim is None
+        assert report.optimizer_provenance is None
         crude = run_pipeline(block, payoff, "crude")
         assert report.price == crude.price
 
@@ -224,17 +238,17 @@ class TestPipelines:
 
         model = LocalVol1D(spot=100.0, rate=0.05, maturity=1.0, n_steps=64, vol_fn=ConstantVol(0.2))
         payoff = build_payoff(model, VanillaCall(strike=100.0))
-        block = draw_samples(new_stream(500, 0), 50_000, 64)
+        block = draw_samples(RngStream(500, 0), 50_000, 64)
         report = run_pipeline(block, payoff, "rris", path_drift_multi(model.times, 1))
         exact = bs_call_price(100.0, 100.0, 0.05, 0.2, 1.0)
         band = 4.0 * np.sqrt(report.variance / report.n) + 0.01
         assert report.price == approx(exact, abs=band)
-        assert report.iterations <= 10
+        assert report.optim.iterations <= 10
 
     def test_two_stage_price_quality(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
         payoff = build_payoff(model, VanillaCall(strike=110.0))
-        block = draw_samples(new_stream(501, 0), 50_000, 1)
+        block = draw_samples(RngStream(501, 0), 50_000, 1)
         report = run_pipeline(block, payoff, "two_stage")
         exact = bs_call_price(100.0, 110.0, 0.05, 0.2, 1.0)
         band = 4.0 * np.sqrt(report.variance / report.n)
@@ -245,7 +259,7 @@ class TestPipelines:
         payoff = build_payoff(model, Basket(weights=np.full(40, 1.0 / 40.0), strike=50.0))
         crude_vars, tilted_vars = [], []
         for rep in range(30):
-            block = draw_samples(new_stream(1234, rep), 10_000, 40)
+            block = draw_samples(RngStream(1234, rep), 10_000, 40)
             crude_vars.append(run_pipeline(block, payoff, "crude").variance)
             tilted_vars.append(run_pipeline(block, payoff, "ris").variance)
         assert np.mean(tilted_vars) < np.mean(crude_vars) / 5.0

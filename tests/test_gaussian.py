@@ -17,90 +17,86 @@ from scipy.stats import kstest, kstwobign
 from tiltmc import (
     InvalidCorrelation,
     InvalidGrid,
+    RngStream,
     SampleBudgetExceeded,
     build_path_map,
     cholesky_correlation,
     draw_samples,
-    new_stream,
     normal_draws,
     regenerate,
 )
+from tiltmc.gaussian import DEFAULT_SAMPLE_BUDGET
 
 
 class TestStreams:
     def test_same_stream_is_bit_identical(self):
-        a = draw_samples(new_stream(7, 0), 500, 3)
-        b = draw_samples(new_stream(7, 0), 500, 3)
+        a = draw_samples(RngStream(7, 0), 500, 3)
+        b = draw_samples(RngStream(7, 0), 500, 3)
         assert (a.values == b.values).all()
 
     def test_distinct_stream_ids_differ(self):
-        a = draw_samples(new_stream(7, 0), 500, 3)
-        b = draw_samples(new_stream(7, 1), 500, 3)
+        a = draw_samples(RngStream(7, 0), 500, 3)
+        b = draw_samples(RngStream(7, 1), 500, 3)
         assert (a.values != b.values).any()
 
     def test_distinct_seeds_differ(self):
-        a = normal_draws(new_stream(1, 0), 64)
-        b = normal_draws(new_stream(2, 0), 64)
+        a = normal_draws(RngStream(1, 0), 64)
+        b = normal_draws(RngStream(2, 0), 64)
         assert (a != b).any()
 
     def test_counter_addressing_matches_slicing(self):
-        stream = new_stream(123, 5)
+        stream = RngStream(123, 5)
         whole = normal_draws(stream, 1000)
         for start, count in ((0, 10), (1, 7), (13, 100), (997, 3)):
             assert (normal_draws(stream, count, offset=start) == whole[start : start + count]).all()
 
-    def test_advanced_stream_continues_the_sequence(self):
-        stream = new_stream(9, 2)
-        whole = normal_draws(stream, 60)
-        tail = normal_draws(stream.advanced(25), 35)
-        assert (tail == whole[25:]).all()
-
     def test_block_is_flat_stream_in_row_major_order(self):
-        block = draw_samples(new_stream(11, 0), 100, 2)
-        flat = normal_draws(new_stream(11, 0), 200)
+        block = draw_samples(RngStream(11, 0), 100, 2)
+        flat = normal_draws(RngStream(11, 0), 200)
         assert (block.values == flat.reshape(100, 2)).all()
 
     def test_multi_chunk_block_is_flat_stream(self):
         # Large enough to span several fill chunks.
-        block = draw_samples(new_stream(11, 1), 50_000, 4)
-        flat = normal_draws(new_stream(11, 1), 200_000)
+        block = draw_samples(RngStream(11, 1), 50_000, 4)
+        flat = normal_draws(RngStream(11, 1), 200_000)
         assert (block.values == flat.reshape(50_000, 4)).all()
 
     def test_regenerate_is_bit_identical(self):
-        block = draw_samples(new_stream(21, 3).advanced(17), 64, 5)
+        block = draw_samples(RngStream(21, 3), 64, 5)
         assert (regenerate(block).values == block.values).all()
 
     def test_budget_error(self):
+        # One element over the budget; the check runs before any allocation.
         with pytest.raises(SampleBudgetExceeded):
-            draw_samples(new_stream(1), 1000, 1000, max_elements=10_000)
+            draw_samples(RngStream(1), DEFAULT_SAMPLE_BUDGET + 1, 1)
 
     def test_block_shape_and_finiteness(self):
-        block = draw_samples(new_stream(3), 1, 3)
+        block = draw_samples(RngStream(3), 1, 3)
         assert block.values.shape == (1, 3)
         assert np.isfinite(block.values).all()
 
     def test_blocks_are_read_only(self):
-        block = draw_samples(new_stream(3), 4, 2)
+        block = draw_samples(RngStream(3), 4, 2)
         with pytest.raises(ValueError):
             block.values[0, 0] = 0.0
 
     def test_seed_range_validated(self):
         with pytest.raises(ValueError):
-            new_stream(-1)
+            RngStream(-1)
         with pytest.raises(ValueError):
-            new_stream(2**64)
+            RngStream(2**64)
 
 
 class TestMarginals:
     def test_moments_over_one_million_draws(self):
-        z = normal_draws(new_stream(2024, 0), 1_000_000)
+        z = normal_draws(RngStream(2024, 0), 1_000_000)
         # CLT bounds: 4 standard errors for the mean, 1% for the variance.
         assert abs(z.mean()) < 4.0 / np.sqrt(1_000_000)
         assert z.var() == approx(1.0, abs=0.01)
 
     def test_columnwise_ks_against_normal(self):
         n = 100_000
-        block = draw_samples(new_stream(555, 7), n, 3)
+        block = draw_samples(RngStream(555, 7), n, 3)
         critical = kstwobign.isf(0.01) / np.sqrt(n)
         for j in range(3):
             stat = kstest(block.values[:, j], "norm").statistic
@@ -172,7 +168,7 @@ class TestPathMap:
 
     def test_sampled_covariance_two_assets(self):
         pm = build_path_map([1.0], cholesky_correlation(2, 0.5))
-        block = draw_samples(new_stream(31, 0), 100_000, 2)
+        block = draw_samples(RngStream(31, 0), 100_000, 2)
         w = pm.apply(block.values)[:, 0, :]
         cov = np.cov(w.T)
         assert cov == approx(np.array([[1.0, 0.5], [0.5, 1.0]]), abs=0.02)

@@ -29,6 +29,7 @@ from tiltmc import (
     DegeneratePayoff,
     Digital,
     Payoff,
+    RngStream,
     build_payoff,
     dense_map,
     draw_samples,
@@ -37,7 +38,6 @@ from tiltmc import (
     eval_un_derivatives,
     eval_vn,
     identity_map,
-    new_stream,
     newton_minimize,
     path_drift_multi,
     precompute_weights,
@@ -50,7 +50,7 @@ ONES_PAYOFF_1D = Payoff.from_function(1, lambda x: np.ones(x.shape[:-1]))
 def _table(values, *, d=None, weights_of=None):
     """WeightTable over explicit sample values with f either given or 1."""
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    block = draw_samples(new_stream(0, 0), *values.shape)
+    block = draw_samples(RngStream(0, 0), *values.shape)
     object.__setattr__(block, "values", values)
     values.setflags(write=False)
     fn = weights_of if weights_of is not None else (lambda x: np.ones(x.shape[:-1]))
@@ -60,7 +60,7 @@ def _table(values, *, d=None, weights_of=None):
 
 class TestWeights:
     def test_constant_payoff_gives_unit_weights(self):
-        block = draw_samples(new_stream(5, 0), 50, 2)
+        block = draw_samples(RngStream(5, 0), 50, 2)
         table = precompute_weights(block, Payoff.from_function(2, lambda x: np.ones(x.shape[:-1])))
         assert table.weights == approx(np.ones(50))
         assert table.nonzero == 50
@@ -68,7 +68,7 @@ class TestWeights:
     def test_all_zero_weights_raise(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
         payoff = build_payoff(model, Digital(level=1e9))
-        block = draw_samples(new_stream(5, 1), 10, 1)
+        block = draw_samples(RngStream(5, 1), 10, 1)
         with pytest.raises(DegeneratePayoff):
             precompute_weights(block, payoff)
 
@@ -77,12 +77,12 @@ class TestWeights:
         # a 10,000-sample table to be nondegenerate with huge probability.
         model = BlackScholesMulti.create(40, [1.0], 50.0, 0.2, 0.05, 0.2)
         payoff = build_payoff(model, Basket(weights=np.full(40, 1.0 / 40.0), strike=50.0))
-        block = draw_samples(new_stream(77, 0), 10_000, 40)
+        block = draw_samples(RngStream(77, 0), 10_000, 40)
         table = precompute_weights(block, payoff)
         assert table.nonzero / table.n > 0.1
 
     def test_weights_are_squared_payoffs(self):
-        block = draw_samples(new_stream(6, 0), 100, 1)
+        block = draw_samples(RngStream(6, 0), 100, 1)
         table = precompute_weights(block, EXP_PAYOFF)
         assert table.weights == approx(np.exp(0.4 * block.values[:, 0]))
 
@@ -136,7 +136,7 @@ class TestObjectives:
         # the sampled value matches both to Monte Carlo accuracy.
         from tiltmc import gaussian_expectation
 
-        block = draw_samples(new_stream(314, 0), 100_000, 1)
+        block = draw_samples(RngStream(314, 0), 100_000, 1)
         table = precompute_weights(block, EXP_PAYOFF)
         theta = 0.2
         vn = eval_vn(table, identity_map(1), [theta])
@@ -229,14 +229,14 @@ class TestNewton:
     def test_exponential_payoff_recovers_sigma(self):
         # theta* = 0.2 from minimizing the closed-form proxy; the 0.025
         # band is about 4.8 asymptotic standard errors at n = 10,000.
-        block = draw_samples(new_stream(161, 0), 10_000, 1)
+        block = draw_samples(RngStream(161, 0), 10_000, 1)
         table = precompute_weights(block, EXP_PAYOFF)
         result = newton_minimize(table, identity_map(1))
         assert abs(result.theta[0] - 0.2) <= 0.025
         assert result.iterations <= 10
 
     def test_descent_and_consistency(self):
-        block = draw_samples(new_stream(99, 0), 4_000, 40)
+        block = draw_samples(RngStream(99, 0), 4_000, 40)
         model = BlackScholesMulti.create(40, [1.0], 50.0, 0.2, 0.05, 0.2)
         payoff = build_payoff(model, Basket(weights=np.full(40, 1.0 / 40.0), strike=50.0))
         table = precompute_weights(block, payoff)
@@ -263,7 +263,7 @@ class TestNewton:
         assert result.theta[0] == approx(3.0, abs=1e-6)
 
     def test_deterministic_result(self):
-        block = draw_samples(new_stream(12, 0), 1_000, 3)
+        block = draw_samples(RngStream(12, 0), 1_000, 3)
         payoff = Payoff.from_function(3, lambda x: np.maximum(x.sum(axis=-1), 0.0))
         a = newton_minimize(precompute_weights(block, payoff), identity_map(3))
         b = newton_minimize(precompute_weights(block, payoff), identity_map(3))
@@ -302,7 +302,7 @@ class TestThetaCovariance:
     def test_unit_payoff_limit(self):
         # f == 1: Hessian of the proxy at 0 is E(1 + G^2) = 2 and the score
         # covariance is Cov(-G) = 1, so the sandwich is 1/4.
-        block = draw_samples(new_stream(400, 0), 200_000, 1)
+        block = draw_samples(RngStream(400, 0), 200_000, 1)
         table = precompute_weights(block, ONES_PAYOFF_1D)
         result = newton_minimize(table, identity_map(1))
         gamma = estimate_theta_covariance(table, identity_map(1), result.theta)
@@ -311,7 +311,7 @@ class TestThetaCovariance:
     def test_exponential_payoff_value(self):
         # Gaussian-moment calculus gives gamma = e^{sigma^2} (1 + sigma^2)/4
         # at sigma = 0.2.
-        block = draw_samples(new_stream(401, 0), 1_000_000, 1)
+        block = draw_samples(RngStream(401, 0), 1_000_000, 1)
         table = precompute_weights(block, EXP_PAYOFF)
         result = newton_minimize(table, identity_map(1))
         gamma = estimate_theta_covariance(table, identity_map(1), result.theta)

@@ -18,6 +18,7 @@ from tiltmc import (
     BracketFailure,
     Payoff,
     QuadratureSpec,
+    RngStream,
     bs_call_price,
     bs_digital_price,
     bs_put_price,
@@ -25,7 +26,6 @@ from tiltmc import (
     estimate_theta_covariance,
     gaussian_expectation,
     identity_map,
-    new_stream,
     newton_minimize,
     precompute_weights,
     quadrature_theta_star,
@@ -140,7 +140,7 @@ class TestThetaStar:
         # within 4 plug-in standard errors.
         payoff = Payoff.from_function(1, lambda x: np.exp(0.2 * x[..., 0]) + 0.1)
         theta_star, _ = quadrature_theta_star(lambda y: np.exp(0.2 * y) + 0.1)
-        block = draw_samples(new_stream(2025, 0), 1_000_000, 1)
+        block = draw_samples(RngStream(2025, 0), 1_000_000, 1)
         table = precompute_weights(block, payoff)
         drift = identity_map(1)
         result = newton_minimize(table, drift)

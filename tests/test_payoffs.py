@@ -29,13 +29,13 @@ from tiltmc import (
     NonFiniteInput,
     Payoff,
     PowerLawVol,
+    RngStream,
     TabulatedVol,
     VanillaCall,
     VanillaPut,
     bs_call_price,
     build_payoff,
     draw_samples,
-    new_stream,
     path_drift_multi,
 )
 
@@ -78,7 +78,7 @@ class TestAssetPaths:
     def test_terminal_law_matches_closed_form_call(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
         payoff = build_payoff(model, VanillaCall(strike=100.0))
-        block = draw_samples(new_stream(88, 0), 1_000_000, 1)
+        block = draw_samples(RngStream(88, 0), 1_000_000, 1)
         values = payoff(block.values)
         se = values.std() / np.sqrt(values.size)
         assert values.mean() == approx(bs_call_price(100.0, 100.0, 0.05, 0.2, 1.0), abs=4 * se)
