@@ -6,8 +6,9 @@ Subcommands:
   per mode.
 * ``experiment <name|config>`` -- run a builtin parameter grid (or a config
   file) and emit one row per parameter set per mode, as aligned text or CSV.
-* ``coverage <config|name>`` -- replicate a pipeline with distinct stream
-  ids and report how often the interval contains the reference price.
+* ``coverage <config|name>`` -- replicate each listed mode's pipeline with
+  distinct stream ids and report how often its interval contains the
+  reference price.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures (``price`` and ``coverage``; ``experiment`` batches record row
@@ -49,6 +50,7 @@ from .estimate import (
     run_pipeline,
 )
 from .gaussian import RngStream, draw_samples, normal_draws
+from .optimize import precompute_weights
 from .oracles import bs_call_price, bs_digital_price, bs_put_price
 from .payoffs import BlackScholesMulti, Digital, VanillaCall, VanillaPut
 
@@ -71,7 +73,8 @@ def run_experiment(
     """Run every (parameter row, mode) pipeline and keep config order.
 
     Each parameter row draws one sample block on its own stream id (the row
-    index), shared by all its modes; rows run concurrently when threads > 1.
+    index) and evaluates the payoff on it once; that weight table is shared
+    by all its modes. Rows run concurrently when threads > 1.
     Numerical failures are recorded inline as error rows and the batch
     continues, unless ``record_failures`` is False.
     """
@@ -82,10 +85,11 @@ def run_experiment(
         payoff = spec.payoff()
         drift = spec.drift()
         block = draw_samples(RngStream(spec.seed, index), spec.n, payoff.dim)
+        table = precompute_weights(block, payoff)
         results = []
         for mode in spec.modes:
             try:
-                report = run_pipeline(block, payoff, mode, drift, level=spec.level)
+                report = run_pipeline(table, mode, drift, level=spec.level)
             except TiltmcError as exc:
                 if not record_failures:
                     raise
@@ -183,23 +187,6 @@ def reference_price(spec: ExperimentSpec, *, n_ref: int = 2_000_000) -> float:
         total += float(np.sum(payoff(draws.reshape(m, payoff.dim))))
         done += m
     return total / n_ref
-
-
-def _coverage_rows(spec: ExperimentSpec, replications: int, threads: int):
-    mode = spec.modes[0]
-    reference = reference_price(spec)
-    result = coverage_experiment(
-        spec.payoff(),
-        mode,
-        spec.n,
-        spec.seed,
-        reference,
-        replications=replications,
-        drift=spec.drift(),
-        level=spec.level,
-        threads=threads,
-    )
-    return reference, mode, result
 
 
 def _emit_coverage(
@@ -345,9 +332,19 @@ def main(argv=None) -> int:
                 "coverage needs --replications or a 'replications' key in [run]",
                 field="replications",
             )
-        reference, mode, result = _coverage_rows(spec, replications, threads)
         fmt = args.format or spec.out_format
-        _write(_emit_coverage(name, rows[0].label, mode, spec, reference, result, fmt), args.out)
+        reference = reference_price(spec)
+        payoff, drift = spec.payoff(), spec.drift()
+        blocks = []
+        for mode in spec.modes:
+            result = coverage_experiment(
+                payoff, mode, spec.n, spec.seed, reference,
+                replications=replications, drift=drift, level=spec.level, threads=threads,
+            )
+            blocks.append(_emit_coverage(name, rows[0].label, mode, spec, reference, result, fmt))
+        if fmt == "csv":  # one header, then one row per mode
+            blocks[1:] = [block.split("\n", 1)[1] for block in blocks[1:]]
+        _write("".join(blocks) if fmt == "csv" else "\n".join(blocks), args.out)
         return 0
 
     except (ConfigError, OSError) as exc:

@@ -22,8 +22,8 @@ from scipy.special import ndtri
 
 from .drift import DriftMap, identity_map
 from .errors import ConvergenceFailure, NonFiniteEstimate, TiltmcError
-from .gaussian import RngStream, SampleBlock, draw_samples
-from .optimize import OptimResult, newton_minimize, precompute_weights
+from .gaussian import RngStream, draw_samples
+from .optimize import OptimResult, WeightTable, newton_minimize, precompute_weights
 from .payoffs import Payoff
 
 __all__ = [
@@ -61,19 +61,21 @@ CSV_COLUMNS = (
 )
 
 
-def tilted_terms(samples: SampleBlock, payoff: Payoff, theta) -> np.ndarray:
+def tilted_terms(table: WeightTable, theta) -> np.ndarray:
     """Per-sample summands f(G_i + theta) exp(-theta . G_i - |theta|^2/2)."""
+    samples = table.samples
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.size != samples.d:
         raise ValueError(f"theta has length {theta.size}, samples have dimension {samples.d}")
     if not theta.any():
-        # Zero tilt: the weights are exactly one, so return f(G_i) untouched.
-        return np.asarray(payoff(samples.values), dtype=np.float64)
-    values = np.asarray(payoff(samples.values + theta), dtype=np.float64)
-    log_weights = -(samples.values @ theta) - 0.5 * float(theta @ theta)
-    terms = values * np.exp(log_weights)
+        # Zero tilt: the weights are exactly one, so the summands are f(G_i).
+        terms = table.values
+    else:
+        values = np.asarray(table.payoff(samples.values + theta), dtype=np.float64)
+        log_weights = -(samples.values @ theta) - 0.5 * float(theta @ theta)
+        terms = values * np.exp(log_weights)
     if not np.isfinite(terms).all():
-        raise NonFiniteEstimate("tilted summand is not finite; the drift is too extreme")
+        raise NonFiniteEstimate("Monte Carlo summand is not finite; check the payoff and the tilt")
     return terms
 
 
@@ -178,14 +180,11 @@ class EstimateReport:
 
 
 def run_pipeline(
-    samples: SampleBlock,
-    payoff: Payoff,
-    mode: str,
-    drift: DriftMap | None = None,
-    *,
-    level: float = 0.95,
+    table: WeightTable, mode: str, drift: DriftMap | None = None, *, level: float = 0.95
 ) -> EstimateReport:
-    """Run one estimation pipeline over a stored sample block.
+    """Run one estimation pipeline over a :func:`precompute_weights` table.
+
+    Every mode reads f(G_i) from the table; none evaluates f there again.
 
     Modes
     -----
@@ -200,8 +199,8 @@ def run_pipeline(
         Same-sample tilt restricted to the supplied drift map's subspace.
     two_stage
         Tilt optimized on an independent block of the same seed, drawn from
-        the reserved stream ``stream_id ^ 2**63``; the main block is used
-        only for the final estimate.
+        the reserved stream ``stream_id ^ 2**63`` with its own table; the
+        main table is used only for the final estimate.
 
     Every mode evaluates the same estimator M_n at its tilt (zero for
     crude) with the second moment v_n at that tilt. A
@@ -210,6 +209,7 @@ def run_pipeline(
     batch runs keep going.
     """
     started = time.perf_counter()
+    samples = table.samples
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     optim = theta = None
@@ -218,14 +218,14 @@ def run_pipeline(
             raise ValueError("rris mode needs a drift map; use mode='ris' for the full space")
         if mode == "ris" or drift is None:
             drift = identity_map(samples.d)
-        opt_samples = samples
+        opt_table = table
         if mode == "two_stage":
             stream = samples.provenance
             opt_stream = RngStream(stream.seed, stream.stream_id ^ _OPTIMIZER_STREAM_BIT)
             opt_samples = draw_samples(opt_stream, samples.n, samples.d)
-        weights = precompute_weights(opt_samples, payoff)
+            opt_table = precompute_weights(opt_samples, table.payoff)
         try:
-            optim = newton_minimize(weights, drift)
+            optim = newton_minimize(opt_table, drift)
         except ConvergenceFailure as exc:
             warnings.warn(
                 f"tilt optimization failed ({exc}); falling back to the untilted estimate",
@@ -235,7 +235,7 @@ def run_pipeline(
         else:
             theta = drift.apply(optim.theta)
 
-    terms = tilted_terms(samples, payoff, np.zeros(samples.d) if theta is None else theta)
+    terms = tilted_terms(table, np.zeros(samples.d) if theta is None else theta)
     price = float(terms.mean())
     second_moment = float((terms * terms).mean()) if optim is None else optim.v_value
     variance, clamped = variance_estimate(second_moment, price)
@@ -254,7 +254,7 @@ def run_pipeline(
         fallback=mode != "crude" and optim is None,
         wall_time=time.perf_counter() - started,
         sample_provenance=samples.provenance,
-        optimizer_provenance=None if optim is None else opt_samples.provenance,
+        optimizer_provenance=None if optim is None else opt_table.samples.provenance,
     )
 
 
@@ -286,8 +286,8 @@ def coverage_experiment(
 ) -> CoverageResult:
     """Fraction of replicated confidence intervals containing ``reference``.
 
-    Replication r uses stream_id = r, so runs are independent and
-    individually reproducible. Replications that fail with a
+    Replication r builds one weight table on stream_id = r, so runs are
+    independent and individually reproducible. Replications that fail with a
     :class:`TiltmcError` (e.g. a degenerate payoff on a small block) are
     counted and excluded from the empirical level; other exceptions propagate.
     """
@@ -297,7 +297,7 @@ def coverage_experiment(
     def one(rep: int) -> bool | None:
         block = draw_samples(RngStream(seed, rep), n, payoff.dim)
         try:
-            report = run_pipeline(block, payoff, mode, drift, level=level)
+            report = run_pipeline(precompute_weights(block, payoff), mode, drift, level=level)
         except TiltmcError:
             return None
         return bool(report.ci_low <= reference <= report.ci_high)

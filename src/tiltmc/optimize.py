@@ -56,45 +56,31 @@ _MIN_STEP = 2.0**-40
 
 @dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Squared payoffs w_i = f(G_i)^2 paired with their sample block.
+    """A sample block with its payoff and ``values`` = f(G_i), evaluated once.
 
-    The payoff is evaluated once, before any optimization; every objective,
-    gradient and Hessian evaluation afterwards reuses these weights.
+    The crude estimate, the fallback, the optimizer's weights w_i = f(G_i)^2
+    and every same-sample mode read ``values``; ``nonzero`` counts w_i > 0.
+    Nothing is checked here: each user checks what it needs.
     """
 
     samples: SampleBlock
-    weights: np.ndarray
+    payoff: Payoff
+    values: np.ndarray
     nonzero: int
 
     def __post_init__(self):
-        self.weights.setflags(write=False)
+        self.values.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return self.weights.size
+        return self.values.size
 
 
 def precompute_weights(samples: SampleBlock, payoff: Payoff) -> WeightTable:
-    """Evaluate f on the stored samples and square it.
-
-    Raises
-    ------
-    DegeneratePayoff
-        If every w_i is zero: the variance proxy is then constant in the
-        tilt direction and no finite minimizer exists.
-    """
-    if payoff.dim != samples.d:
-        raise ValueError(f"payoff dimension {payoff.dim} != sample dimension {samples.d}")
+    """Evaluate f on the stored samples."""
     values = np.asarray(payoff(samples.values), dtype=np.float64)
-    weights = values * values
-    if not np.isfinite(weights).all():
-        raise NonFiniteObjective("payoff produced non-finite values on the sample block")
-    nonzero = int(np.count_nonzero(weights))
-    if nonzero == 0:
-        raise DegeneratePayoff(
-            f"payoff vanished on all {samples.n} samples; cannot tune a tilt on it"
-        )
-    return WeightTable(samples=samples, weights=weights, nonzero=nonzero)
+    nonzero = int(np.count_nonzero(values * values > 0.0))
+    return WeightTable(samples=samples, payoff=payoff, values=values, nonzero=nonzero)
 
 
 class _Objective:
@@ -102,14 +88,21 @@ class _Objective:
 
     Caches log w_i and the reduced projections A*G_i of the nonzero-weight
     samples, so each Newton iteration costs O(n d'^2) instead of O(n d d').
+    Raises NonFiniteObjective if some w_i = f(G_i)^2 is not finite, and
+    DegeneratePayoff if every w_i is zero (u_n then has no minimizer).
     """
 
     def __init__(self, table: WeightTable, drift: DriftMap):
-        if drift.d != table.samples.d:
-            raise ValueError(f"drift map dimension {drift.d} != sample dimension {table.samples.d}")
-        nz = table.weights > 0.0
+        weights = table.values * table.values
+        if not np.isfinite(weights).all():
+            raise NonFiniteObjective("payoff produced non-finite values on the sample block")
+        nz = weights > 0.0
+        if not nz.any():
+            raise DegeneratePayoff(
+                f"payoff vanished on all {table.n} samples; cannot tune a tilt on it"
+            )
         self.n = table.n
-        self.log_w = np.log(table.weights[nz])
+        self.log_w = np.log(weights[nz])
         self.reduced = np.atleast_2d(drift.apply_adjoint(table.samples.values[nz]))
         self.gram = drift.gram()
         self.d_reduced = drift.d_reduced

@@ -212,11 +212,11 @@ def test_ac4_digital_coverage():
 
 def test_ac5_exponential_exactness():
     block = draw_samples(RngStream(1729, 0), 10_000, 1)
-    terms = tilted_terms(block, EXP_PAYOFF, [0.2])
+    table = precompute_weights(block, EXP_PAYOFF)
+    terms = tilted_terms(table, [0.2])
     spread = np.abs(terms - np.exp(0.02)).max()
     _check("AC5 summand identity", spread <= 1e-12, f"max |term - e^0.02| = {spread:.2e}")
     _check("AC5 summand variance", terms.var() <= 1e-12, f"var = {terms.var():.2e}")
-    table = precompute_weights(block, EXP_PAYOFF)
     result = newton_minimize(table, identity_map(1))
     _check(
         "AC5 optimizer recovers tilt",
@@ -351,9 +351,9 @@ def test_ac8_exchange_basket_ratio():
         vols = rng.uniform(0.1, 0.3, 10)
         model = BlackScholesMulti.create(10, [1.0], spots, vols, 0.05, 0.2)
         payoff = build_payoff(model, Basket(weights=weights, strike=0.0))
-        block = draw_samples(RngStream(811, trial), 20_000, 10)
-        crude = run_pipeline(block, payoff, "crude")
-        tilted = run_pipeline(block, payoff, "ris")
+        table = precompute_weights(draw_samples(RngStream(811, trial), 20_000, 10), payoff)
+        crude = run_pipeline(table, "crude")
+        tilted = run_pipeline(table, "ris")
         ratio = crude.variance / tilted.variance
         _check(f"AC8 exchange basket {trial}", ratio >= 5.0, f"ratio {ratio:.1f} >= 5")
 
@@ -362,9 +362,9 @@ def test_ac8_best_of_ratio():
     times = np.arange(1, 13) / 12.0
     model = BlackScholesMulti.create(12, times, 50.0, 0.2, 0.05, 0.5)
     payoff = build_payoff(model, BestOf(weights=np.ones(12), strike=80.0))
-    block = draw_samples(RngStream(812, 0), 20_000, model.dim)
-    crude = run_pipeline(block, payoff, "crude")
-    reduced = run_pipeline(block, payoff, "rris", path_drift_multi(times, 12))
+    table = precompute_weights(draw_samples(RngStream(812, 0), 20_000, model.dim), payoff)
+    crude = run_pipeline(table, "crude")
+    reduced = run_pipeline(table, "rris", path_drift_multi(times, 12))
     ratio = crude.variance / reduced.variance
     _check("AC8 best-of", ratio >= 3.0, f"ratio {ratio:.1f} >= 3")
 

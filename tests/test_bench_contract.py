@@ -1,0 +1,39 @@
+"""Smoke test of the package API that the benchmark workloads drive.
+
+Claims:
+    - ``perfbench/workload.py`` can build each workload's rows, shrink them
+      with ``with_overrides(n=...)`` and run its work phase through the
+      public API, with no error row and a non-empty rendered report
+
+This checks the interface only. The statistical gate needs the full sample
+sizes and is not run here.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import tiltmc
+import tiltmc.cli  # noqa: F401  (binds tiltmc.cli and tiltmc.config)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workload  # noqa: E402
+
+
+@pytest.mark.parametrize(
+    "name, n", [("table4", 2_000), ("basket-ris", 1_000), ("digital-coverage", 1_000)]
+)
+def test_workload_runs_through_public_api(name, n):
+    config = tiltmc.config
+    rows = [
+        config.ExperimentRow(label=row.label, spec=config.with_overrides(row.spec, n=n))
+        for row in workload.build_rows(tiltmc, name, seed=7)
+    ]
+    ops, text, coverage = workload.run_work(tiltmc, name, rows)
+    assert ops
+    assert [error for _, _, report, error in ops if report is None] == []
+    assert all(report.n == n for _, _, report, _ in ops)
+    assert text.strip()
+    assert (coverage is not None) == (name == "digital-coverage")

@@ -7,14 +7,20 @@ Claims:
     - equal seed and config give byte-identical CSV independent of threads
     - exit codes: 0 success, 2 config error, 3 numerical failure
     - environment variables override seed and thread count
-    - coverage subcommand reports hits against the closed-form reference
+    - coverage subcommand reports hits against the closed-form reference for
+      every listed mode
+    - a parameter row evaluates the payoff once on its block, shared by all
+      modes; each tilted mode adds one pass and two_stage one more on its
+      own block
 """
 
 import csv
 import io
 
+import numpy as np
 import pytest
 
+import tiltmc.payoffs
 from tiltmc.cli import emit_report, main, reference_price, run_experiment
 from tiltmc.config import builtin_experiment, parse_config
 from tiltmc.oracles import bs_call_price, bs_digital_price
@@ -98,6 +104,34 @@ class TestEmit:
         out = emit_report(results, "csv")
         assert out.splitlines()[0].endswith(",error")
         assert "doomed" in out
+
+
+class TestPayoffPasses:
+    def _rows_evaluated(self, monkeypatch, modes):
+        counted = []
+        inner = tiltmc.payoffs.Payoff.__call__
+
+        def counting(self, x):
+            shape = np.shape(x)
+            counted.append(1 if len(shape) <= 1 else int(np.prod(shape[:-1])))
+            return inner(self, x)
+
+        monkeypatch.setattr(tiltmc.payoffs.Payoff, "__call__", counting)
+        rows = builtin_experiment("table4", n=500, modes=modes)
+        results = run_experiment("table4", rows)
+        assert all(r.report is not None and not r.report.fallback for r in results)
+        return sum(counted), len(rows)
+
+    def test_one_untilted_pass_per_row(self, monkeypatch):
+        # f(G_i) once per block, shared by crude, ris and rris; each tilted
+        # mode evaluates f(G_i + theta) once.
+        total, n_rows = self._rows_evaluated(monkeypatch, ("crude", "ris", "rris"))
+        assert total == n_rows * 3 * 500
+
+    def test_two_stage_adds_its_own_block_and_tilted_pass(self, monkeypatch):
+        base, n_rows = self._rows_evaluated(monkeypatch, ("crude", "ris", "rris"))
+        total, _ = self._rows_evaluated(monkeypatch, ("crude", "ris", "rris", "two_stage"))
+        assert total - base == n_rows * 2 * 500
 
 
 class TestThreadDeterminism:
@@ -205,6 +239,19 @@ class TestCoverage:
         rows = list(csv.reader(io.StringIO(out.read_text())))
         assert rows[0][:4] == ["experiment", "row", "mode", "n"]
         assert int(rows[1][rows[0].index("replications")]) == 20
+
+    def test_coverage_runs_every_mode(self, capsys):
+        argv = ["coverage", "digital-coverage", "--modes", "crude", "ris",
+                "--replications", "5", "--n", "1000"]
+        assert main(argv + ["--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0][:3] == ["experiment", "row", "mode"]
+        assert [row[2] for row in rows[1:]] == ["crude", "ris"]
+        assert all(row[rows[0].index("replications")] == "5" for row in rows[1:])
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text.count("coverage of digital-coverage") == 2
+        assert "mode=crude" in text and "mode=ris" in text
 
 
 class TestReferencePrice:

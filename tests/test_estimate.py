@@ -1,15 +1,17 @@
 """Estimator and pipeline tests.
 
 Claims:
-    - the zero-tilt estimator is the plain sample mean, bitwise
+    - the zero-tilt estimator is the plain sample mean, bitwise, and reads
+      the weight table's f(G_i) without evaluating the payoff again
     - for the exponential payoff the tilted summands are a known constant,
       so the estimator is exact with zero spread
     - tilting leaves the mean unbiased at a fixed drift (vanilla call vs
       closed form over one million draws)
     - variance estimates subtract the squared price and clamp at zero
     - confidence intervals use the documented normal quantile
-    - pipelines share one sample block between optimization and estimation,
-      run every mode, degrade gracefully, and are deterministic
+    - pipelines share one weight table between optimization and estimation,
+      run every mode, degrade gracefully, reject non-finite summands in every
+      mode, and are deterministic
     - repeated same-sample runs cut the variance estimate well below the
       untilted one
     - interval coverage behaves as advertised on degenerate and digital
@@ -27,6 +29,8 @@ from tiltmc import (
     ConvergenceFailure,
     DegeneratePayoff,
     Digital,
+    NonFiniteEstimate,
+    NonFiniteObjective,
     Payoff,
     RngStream,
     VanillaCall,
@@ -38,6 +42,7 @@ from tiltmc import (
     draw_samples,
     identity_map,
     path_drift_multi,
+    precompute_weights,
     run_pipeline,
     tilted_terms,
     variance_estimate,
@@ -51,12 +56,14 @@ class TestTiltedMean:
     def test_zero_tilt_is_plain_mean(self):
         block = draw_samples(RngStream(1, 0), 5_000, 1)
         payoff = Payoff.from_function(1, lambda x: np.maximum(x[..., 0], 0.0))
-        assert tilted_terms(block, payoff, [0.0]).mean() == payoff(block.values).mean()
+        table = precompute_weights(block, payoff)
+        assert tilted_terms(table, [0.0]) is table.values
+        assert tilted_terms(table, [0.0]).mean() == payoff(block.values).mean()
 
     def test_exponential_summands_are_constant(self):
         # f(x + s) e^{-s x - s^2/2} == e^{s^2/2} identically for f = e^{s x}.
         block = draw_samples(RngStream(2, 0), 10_000, 1)
-        terms = tilted_terms(block, EXP_PAYOFF, [0.2])
+        terms = tilted_terms(precompute_weights(block, EXP_PAYOFF), [0.2])
         assert np.abs(terms - np.exp(0.02)).max() <= 1e-12
         assert terms.std() <= 1e-13
 
@@ -64,7 +71,7 @@ class TestTiltedMean:
         c = 2.5
         payoff = Payoff.from_function(2, lambda x: np.full(x.shape[:-1], c))
         block = draw_samples(RngStream(3, 0), 100_000, 2)
-        terms = tilted_terms(block, payoff, [0.4, -0.3])
+        terms = tilted_terms(precompute_weights(block, payoff), [0.4, -0.3])
         se = terms.std() / np.sqrt(terms.size)
         assert terms.mean() == approx(c, abs=4 * se)
 
@@ -73,14 +80,14 @@ class TestTiltedMean:
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
         payoff = build_payoff(model, VanillaCall(strike=100.0))
         block = draw_samples(RngStream(4, 0), 1_000_000, 1)
-        terms = tilted_terms(block, payoff, [0.5])
+        terms = tilted_terms(precompute_weights(block, payoff), [0.5])
         se = terms.std() / np.sqrt(terms.size)
         assert terms.mean() == approx(bs_call_price(100.0, 100.0, 0.05, 0.2, 1.0), abs=4 * se)
 
     def test_dimension_check(self):
-        block = draw_samples(RngStream(5, 0), 10, 2)
+        table = precompute_weights(draw_samples(RngStream(5, 0), 10, 1), EXP_PAYOFF)
         with pytest.raises(ValueError):
-            tilted_terms(block, EXP_PAYOFF, [0.1, 0.2])
+            tilted_terms(table, [0.1, 0.2])
 
 
 class TestVarianceEstimate:
@@ -124,35 +131,35 @@ class TestConfidenceInterval:
 
 
 def _basket_setup(n=10_000, seed=99):
+    """Weight table of the 40-asset basket on stream 0 of ``seed``."""
     model = BlackScholesMulti.create(40, [1.0], 50.0, 0.2, 0.05, 0.2)
     payoff = build_payoff(model, Basket(weights=np.full(40, 1.0 / 40.0), strike=50.0))
-    block = draw_samples(RngStream(seed, 0), n, 40)
-    return block, payoff
+    return precompute_weights(draw_samples(RngStream(seed, 0), n, 40), payoff)
 
 
 class TestPipelines:
     def test_crude_price_is_zero_tilt_mean_bitwise(self):
-        block, payoff = _basket_setup(n=2_000)
-        report = run_pipeline(block, payoff, "crude")
-        assert report.price == tilted_terms(block, payoff, np.zeros(40)).mean()
+        table = _basket_setup(n=2_000)
+        report = run_pipeline(table, "crude")
+        assert report.price == tilted_terms(table, np.zeros(40)).mean()
         assert report.theta is None
         assert report.optim is None
 
     def test_same_samples_feed_optimizer_and_estimate(self):
-        block, payoff = _basket_setup(n=2_000)
-        report = run_pipeline(block, payoff, "ris")
-        assert report.optimizer_provenance == block.provenance
-        assert report.sample_provenance == block.provenance
+        table = _basket_setup(n=2_000)
+        report = run_pipeline(table, "ris")
+        assert report.optimizer_provenance == table.samples.provenance
+        assert report.sample_provenance == table.samples.provenance
 
     def test_two_stage_uses_independent_stream(self):
         # Rows and coverage replications take stream ids 0, 1, 2, ... and the
         # reference price takes a reserved id. The optimizer block of any of
         # those runs must be drawn from a stream none of them uses.
-        _, payoff = _basket_setup(n=1)
+        payoff = _basket_setup(n=1).payoff
         used = set(range(64)) | {_REFERENCE_STREAM_ID}
         for stream_id in sorted(used):
             block = draw_samples(RngStream(99, stream_id), 200, 40)
-            report = run_pipeline(block, payoff, "two_stage")
+            report = run_pipeline(precompute_weights(block, payoff), "two_stage")
             assert report.sample_provenance == block.provenance
             assert report.optimizer_provenance.seed == 99
             assert report.optimizer_provenance.stream_id not in used
@@ -163,9 +170,9 @@ class TestPipelines:
         from tiltmc import BarrierCall
 
         payoff = build_payoff(model, BarrierCall(strike=110.0, barrier=80.0))
-        block = draw_samples(RngStream(41, 0), 4_000, 24)
+        table = precompute_weights(draw_samples(RngStream(41, 0), 4_000, 24), payoff)
         drift = path_drift_multi(times, 1)
-        report = run_pipeline(block, payoff, "rris", drift)
+        report = run_pipeline(table, "rris", drift)
         assert report.optim.theta.shape == (1,)
         assert (report.theta == drift.apply(report.optim.theta)).all()
 
@@ -175,57 +182,68 @@ class TestPipelines:
         # variance reference E f^2 - (E f)^2 comes from quadrature.
         from tiltmc import gaussian_expectation
 
-        block = draw_samples(RngStream(7, 0), 50_000, 1)
-        report = run_pipeline(block, EXP_PAYOFF, "ris")
-        crude = run_pipeline(block, EXP_PAYOFF, "crude")
+        table = precompute_weights(draw_samples(RngStream(7, 0), 50_000, 1), EXP_PAYOFF)
+        report = run_pipeline(table, "ris")
+        crude = run_pipeline(table, "crude")
         second = gaussian_expectation(lambda y: np.exp(0.4 * y))
         first = gaussian_expectation(lambda y: np.exp(0.2 * y))
         assert crude.variance == approx(second - first**2, rel=0.10)
         assert report.variance <= 1e-3 * crude.variance
 
     def test_interval_orders_around_price(self):
-        block, payoff = _basket_setup(n=4_000)
+        table = _basket_setup(n=4_000)
         for mode in ("crude", "ris", "two_stage"):
-            report = run_pipeline(block, payoff, mode)
+            report = run_pipeline(table, mode)
             assert report.ci_low <= report.price <= report.ci_high
 
     def test_degenerate_payoff_raises(self):
+        # The table of an all-zero payoff is valid: crude prices it at 0,
+        # and only the optimizer, which needs a nonzero weight, refuses it.
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
         payoff = build_payoff(model, Digital(level=1e9))
-        block = draw_samples(RngStream(8, 0), 50, 1)
+        table = precompute_weights(draw_samples(RngStream(8, 0), 50, 1), payoff)
+        assert table.nonzero == 0
         with pytest.raises(DegeneratePayoff):
-            run_pipeline(block, payoff, "ris")
+            run_pipeline(table, "ris")
+        crude = run_pipeline(table, "crude")
+        assert (crude.price, crude.variance, crude.ci_low, crude.ci_high) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_crude_rejects_non_finite_payoff(self):
+        # Crude goes through the same finiteness check as the tilted modes
+        # instead of pricing inf with a nan interval.
+        payoff = Payoff.from_function(1, lambda x: np.where(x[..., 0] > 3, np.inf, 1.0))
+        table = precompute_weights(draw_samples(RngStream(1), 100_000, 1), payoff)
+        with pytest.raises(NonFiniteEstimate):
+            run_pipeline(table, "crude")
+        with pytest.raises(NonFiniteObjective):
+            run_pipeline(table, "ris")
 
     def test_convergence_failure_falls_back_to_crude(self, monkeypatch):
         def fail(table, drift):
             raise ConvergenceFailure("forced")
 
         monkeypatch.setattr(tiltmc.estimate, "newton_minimize", fail)
-        block, payoff = _basket_setup(n=500)
+        table = _basket_setup(n=500)
         with pytest.warns(RuntimeWarning, match="forced"):
-            report = run_pipeline(block, payoff, "ris")
+            report = run_pipeline(table, "ris")
         assert report.fallback
         assert report.mode == "ris"
         assert report.optim is None
         assert report.optimizer_provenance is None
-        crude = run_pipeline(block, payoff, "crude")
+        crude = run_pipeline(table, "crude")
         assert report.price == crude.price
 
     def test_unknown_mode_rejected(self):
-        block, payoff = _basket_setup(n=100)
         with pytest.raises(ValueError):
-            run_pipeline(block, payoff, "antithetic")
+            run_pipeline(_basket_setup(n=100), "antithetic")
 
     def test_rris_requires_drift(self):
-        block, payoff = _basket_setup(n=100)
         with pytest.raises(ValueError):
-            run_pipeline(block, payoff, "rris")
+            run_pipeline(_basket_setup(n=100), "rris")
 
     def test_deterministic_reports(self):
-        a_block, payoff = _basket_setup(n=3_000, seed=55)
-        b_block, _ = _basket_setup(n=3_000, seed=55)
-        a = run_pipeline(a_block, payoff, "ris")
-        b = run_pipeline(b_block, payoff, "ris")
+        a = run_pipeline(_basket_setup(n=3_000, seed=55), "ris")
+        b = run_pipeline(_basket_setup(n=3_000, seed=55), "ris")
         assert a.price == b.price
         assert a.variance == b.variance
         assert (a.theta == b.theta).all()
@@ -238,8 +256,8 @@ class TestPipelines:
 
         model = LocalVol1D(spot=100.0, rate=0.05, maturity=1.0, n_steps=64, vol_fn=ConstantVol(0.2))
         payoff = build_payoff(model, VanillaCall(strike=100.0))
-        block = draw_samples(RngStream(500, 0), 50_000, 64)
-        report = run_pipeline(block, payoff, "rris", path_drift_multi(model.times, 1))
+        table = precompute_weights(draw_samples(RngStream(500, 0), 50_000, 64), payoff)
+        report = run_pipeline(table, "rris", path_drift_multi(model.times, 1))
         exact = bs_call_price(100.0, 100.0, 0.05, 0.2, 1.0)
         band = 4.0 * np.sqrt(report.variance / report.n) + 0.01
         assert report.price == approx(exact, abs=band)
@@ -248,8 +266,8 @@ class TestPipelines:
     def test_two_stage_price_quality(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
         payoff = build_payoff(model, VanillaCall(strike=110.0))
-        block = draw_samples(RngStream(501, 0), 50_000, 1)
-        report = run_pipeline(block, payoff, "two_stage")
+        table = precompute_weights(draw_samples(RngStream(501, 0), 50_000, 1), payoff)
+        report = run_pipeline(table, "two_stage")
         exact = bs_call_price(100.0, 110.0, 0.05, 0.2, 1.0)
         band = 4.0 * np.sqrt(report.variance / report.n)
         assert report.price == approx(exact, abs=band)
@@ -259,9 +277,9 @@ class TestPipelines:
         payoff = build_payoff(model, Basket(weights=np.full(40, 1.0 / 40.0), strike=50.0))
         crude_vars, tilted_vars = [], []
         for rep in range(30):
-            block = draw_samples(RngStream(1234, rep), 10_000, 40)
-            crude_vars.append(run_pipeline(block, payoff, "crude").variance)
-            tilted_vars.append(run_pipeline(block, payoff, "ris").variance)
+            table = precompute_weights(draw_samples(RngStream(1234, rep), 10_000, 40), payoff)
+            crude_vars.append(run_pipeline(table, "crude").variance)
+            tilted_vars.append(run_pipeline(table, "ris").variance)
         assert np.mean(tilted_vars) < np.mean(crude_vars) / 5.0
 
 

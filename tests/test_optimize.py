@@ -1,7 +1,9 @@
 """Optimizer tests.
 
 Claims:
-    - weight precomputation squares the payoff and rejects all-zero tables
+    - the weight table stores f(G_i) and counts nonzero w_i = f(G_i)^2 (an
+      underflowed square counts as zero); the objective squares it and
+      rejects all-zero and non-finite tables
     - v_n and u_n satisfy v_n = exp(u_n)/n to relative 1e-10 and the
       closed single-sample / two-sample values
     - gradient and Hessian match central finite differences of u_n
@@ -28,6 +30,7 @@ from tiltmc import (
     BlackScholesMulti,
     DegeneratePayoff,
     Digital,
+    NonFiniteObjective,
     Payoff,
     RngStream,
     build_payoff,
@@ -62,15 +65,42 @@ class TestWeights:
     def test_constant_payoff_gives_unit_weights(self):
         block = draw_samples(RngStream(5, 0), 50, 2)
         table = precompute_weights(block, Payoff.from_function(2, lambda x: np.ones(x.shape[:-1])))
-        assert table.weights == approx(np.ones(50))
+        assert table.values == approx(np.ones(50))
         assert table.nonzero == 50
+        assert eval_vn(table, identity_map(2), [0.0, 0.0]) == approx(1.0)
 
     def test_all_zero_weights_raise(self):
+        # The table itself is valid (crude prices it at 0); every user of
+        # the objective rejects it.
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
         payoff = build_payoff(model, Digital(level=1e9))
         block = draw_samples(RngStream(5, 1), 10, 1)
+        table = precompute_weights(block, payoff)
+        assert table.nonzero == 0
+        drift = identity_map(1)
+        uses = (
+            lambda: newton_minimize(table, drift),
+            lambda: eval_un(table, drift, [0.0]),
+            lambda: estimate_theta_covariance(table, drift, [0.0]),
+        )
+        for use in uses:
+            with pytest.raises(DegeneratePayoff):
+                use()
+
+    def test_underflowed_square_counts_as_zero(self):
+        block = draw_samples(RngStream(5, 2), 10, 1)
+        payoff = Payoff.from_function(1, lambda x: np.full(x.shape[:-1], 1e-200))
+        table = precompute_weights(block, payoff)
+        assert table.nonzero == 0
         with pytest.raises(DegeneratePayoff):
-            precompute_weights(block, payoff)
+            newton_minimize(table, identity_map(1))
+
+    def test_non_finite_weights_raise(self):
+        block = draw_samples(RngStream(5, 3), 1_000, 1)
+        payoff = Payoff.from_function(1, lambda x: np.where(x[..., 0] > 1.5, np.nan, 1.0))
+        table = precompute_weights(block, payoff)
+        with pytest.raises(NonFiniteObjective):
+            newton_minimize(table, identity_map(1))
 
     def test_basket_has_positive_mass(self):
         # Crude check that the at-the-money basket pays off often enough for
@@ -84,7 +114,9 @@ class TestWeights:
     def test_weights_are_squared_payoffs(self):
         block = draw_samples(RngStream(6, 0), 100, 1)
         table = precompute_weights(block, EXP_PAYOFF)
-        assert table.weights == approx(np.exp(0.4 * block.values[:, 0]))
+        assert table.values == approx(np.exp(0.2 * block.values[:, 0]))
+        weights = np.exp(0.4 * block.values[:, 0])
+        assert eval_un(table, identity_map(1), [0.0]) == approx(np.log(weights.sum()))
 
 
 class TestObjectives:
@@ -143,7 +175,7 @@ class TestObjectives:
         quad = np.exp(theta**2) * gaussian_expectation(lambda y: np.exp(0.4 * (y - theta)))
         exact = np.exp((0.4 - theta) ** 2 / 2.0 + theta**2 / 2.0)
         assert quad == approx(exact, rel=1e-12)
-        terms = table.weights * np.exp(-block.values[:, 0] * theta + theta**2 / 2.0)
+        terms = table.values**2 * np.exp(-block.values[:, 0] * theta + theta**2 / 2.0)
         se = terms.std() / np.sqrt(terms.size)
         assert vn == approx(quad, abs=4 * se)
 
