@@ -24,7 +24,7 @@ from .drift import DriftMap, identity_map
 from .errors import ConvergenceFailure, NonFiniteEstimate, TiltmcError
 from .gaussian import RngStream, draw_samples
 from .optimize import OptimResult, WeightTable, newton_minimize, precompute_weights
-from .payoffs import Payoff
+from .payoffs import Payoff, chunk_rows
 
 __all__ = [
     "MODES",
@@ -71,7 +71,11 @@ def tilted_terms(table: WeightTable, theta) -> np.ndarray:
         # Zero tilt: the weights are exactly one, so the summands are f(G_i).
         terms = table.values
     else:
-        values = np.asarray(table.payoff(samples.values + theta), dtype=np.float64)
+        # Shift one chunk at a time; the shifted block is never built.
+        step = chunk_rows(samples.d)
+        values = np.concatenate(
+            [table.payoff(samples.values[lo : lo + step] + theta) for lo in range(0, samples.n, step)]
+        )
         log_weights = -(samples.values @ theta) - 0.5 * float(theta @ theta)
         terms = values * np.exp(log_weights)
     if not np.isfinite(terms).all():

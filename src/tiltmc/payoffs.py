@@ -8,7 +8,11 @@ diffusion discretized by the Euler recursion
 s_{k} = s_{k-1} (1 + sigma((k-1)h, s_{k-1}) sqrt(h) u_k + r h).
 
 Evaluators are pure and vectorized: x may be a single point of length d or
-a row-stacked batch (n, d).
+a row-stacked batch (n, d). Rows are evaluated over fixed chunks (see
+:func:`chunk_rows`): the evaluator receives contiguous row slices of at most
+one chunk, and row i of its output must depend only on row i of its input.
+Chunked output is bit-identical to one whole-array call, and no temporary
+grows beyond one chunk.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import IncompatibleClaim, NonFiniteInput
-from .gaussian import PathMap, build_path_map, cholesky_correlation
+from .gaussian import _FILL_CHUNK, PathMap, build_path_map, cholesky_correlation
 
 __all__ = [
     "BlackScholesMulti",
@@ -37,7 +41,23 @@ __all__ = [
     "VanillaPut",
     "Payoff",
     "build_payoff",
+    "chunk_rows",
 ]
+
+# Chunks are a multiple of this many rows. Claims reduce over assets with
+# BLAS (``terminal @ w``), and OpenBLAS sums a few trailing rows of a call
+# in a different order; on 64-row boundaries every row takes the same code
+# path as in one whole-array call, so chunking changes no bit.
+_ROW_ALIGN = 64
+
+
+def chunk_rows(d: int) -> int:
+    """Rows per evaluation chunk at dimension d.
+
+    About ``_FILL_CHUNK`` elements (the sample fill chunk), rounded down to
+    a multiple of 64 rows, and at least 64 rows.
+    """
+    return max(_ROW_ALIGN, _FILL_CHUNK // d // _ROW_ALIGN * _ROW_ALIGN)
 
 
 # --- local volatility functions ---------------------------------------------
@@ -385,17 +405,32 @@ class Payoff:
 
     def __call__(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 1
         if x.shape[-1] != self.dim:
             raise ValueError(f"payoff has dimension {self.dim}, input has {x.shape[-1]}")
-        if not np.isfinite(x).all():
-            raise NonFiniteInput("payoff evaluated at a non-finite point")
-        values = np.asarray(self.fn(x), dtype=np.float64)
-        return float(values) if scalar else values
+        rows = x.reshape(-1, self.dim)
+        step = chunk_rows(self.dim)
+        parts = []
+        for lo in range(0, rows.shape[0], step):
+            chunk = rows[lo : lo + step]
+            if not np.isfinite(chunk).all():
+                raise NonFiniteInput("payoff evaluated at a non-finite point")
+            parts.append(np.asarray(self.fn(chunk), dtype=np.float64))
+        # Joining the parts at the end, rather than filling an output
+        # allocated up front, leaves no freed chunk temporaries above a live
+        # array on the heap, which the allocator would return to the system
+        # and fault back in on every call.
+        values = np.concatenate(parts) if parts else np.empty(0)
+        return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
 
     @classmethod
     def from_function(cls, dim: int, fn: Callable[[np.ndarray], np.ndarray]) -> "Payoff":
-        """Wrap a vectorized function of the normal vector directly."""
+        """Wrap a vectorized function of the normal vector directly.
+
+        ``fn`` receives contiguous (m, d) row slices, m at most
+        :func:`chunk_rows` (a single point arrives as one row), and returns
+        one value per row; row i of its output must depend only on row i
+        of its input.
+        """
         return cls(dim=dim, fn=fn)
 
 

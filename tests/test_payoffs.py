@@ -10,7 +10,13 @@ Claims:
     - barrier payoffs are nondecreasing along the single-parameter path
       drift direction
     - claim/model compatibility is validated eagerly
+    - batches are evaluated over 64-row-aligned row chunks: bit-identical to
+      one whole-array call for every claim (payoff and tilted pass), no
+      non-finite row is skipped, and the extra memory is bounded by a chunk,
+      not by n*d
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +43,11 @@ from tiltmc import (
     build_payoff,
     draw_samples,
     path_drift_multi,
+    precompute_weights,
+    tilted_terms,
 )
+from tiltmc.config import builtin_experiment
+from tiltmc.payoffs import chunk_rows
 
 
 def _basket40(rho=0.2, strike=50.0):
@@ -241,3 +251,107 @@ class TestLocalVolSurfaces:
         model_const = LocalVol1D(spot=100.0, rate=0.05, maturity=1.0, n_steps=4, vol_fn=ConstantVol(0.2))
         x = np.random.default_rng(2).standard_normal((6, 4))
         assert model_tab.paths(x) == approx(model_const.paths(x))
+
+
+def _every_claim():
+    """One payoff per claim type, plus a local-vol one; table1's basket first."""
+    steps = 2.0 / 24.0 * np.arange(1, 25)
+    single = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
+    single_path = BlackScholesMulti.create(1, steps, 100.0, 0.2, 0.05)
+    five = BlackScholesMulti.create(5, steps, [50.0, 40.0, 60.0, 30.0, 20.0], 0.2, 0.05, 0.3)
+    three = BlackScholesMulti.create(3, [0.5, 1.0], [50.0, 60.0, 70.0], [0.2, 0.3, 0.25], 0.05, 0.4)
+    local = LocalVol1D(
+        spot=100.0, rate=0.05, maturity=1.0, n_steps=10,
+        vol_fn=PowerLawVol(sigma=0.2, gamma=0.5, ref_spot=100.0),
+    )
+    return {
+        "basket40": build_payoff(*_basket40()),
+        "digital": build_payoff(single, Digital(level=100.0)),
+        "call": build_payoff(single, VanillaCall(strike=100.0)),
+        "put": build_payoff(single, VanillaPut(strike=100.0)),
+        "barrier": build_payoff(single_path, BarrierCall(strike=100.0, barrier=85.0)),
+        "barrier_basket": build_payoff(
+            five,
+            BarrierBasketCall(
+                weights=np.full(5, 0.2), strike=40.0,
+                barriers=np.array([40.0, 30.0, 45.0, 20.0, 10.0]),
+            ),
+        ),
+        "best_of": build_payoff(three, BestOf(weights=np.ones(3), strike=65.0)),
+        "local_vol": build_payoff(local, VanillaCall(strike=100.0)),
+    }
+
+
+CLAIMS = _every_claim()
+
+
+class TestChunkedEvaluation:
+    @pytest.mark.parametrize("d, rows", [(1, 65536), (40, 1600), (120, 512), (500, 128), (2000, 64)])
+    def test_chunk_rule(self, d, rows):
+        assert chunk_rows(d) == rows
+
+    @pytest.mark.parametrize("d", [3, 40, 120])
+    def test_fn_sees_aligned_row_slices_in_order(self, d):
+        rows = chunk_rows(d)
+        seen = []
+
+        def record(x):
+            seen.append(x.copy())
+            return x.sum(axis=-1)
+
+        payoff = Payoff.from_function(d, record)
+        x = np.random.default_rng(d).standard_normal((3 * rows + 17, d))
+        out = payoff(x)
+        assert np.array_equal(np.concatenate(seen), x)
+        assert all(len(chunk) <= rows for chunk in seen)
+        assert all(len(chunk) % 64 == 0 for chunk in seen[:-1])
+        assert np.array_equal(out, np.concatenate([chunk.sum(axis=-1) for chunk in seen]))
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_bit_identical_to_whole_array_call(self, name):
+        payoff = CLAIMS[name]
+        rows = chunk_rows(payoff.dim)
+        x = np.random.default_rng(5).standard_normal((3 * rows + 17, payoff.dim))
+        for n in (1, rows - 1, rows, rows + 1, 3 * rows + 17):
+            assert np.array_equal(payoff(x[:n]), payoff.fn(x[:n])), n
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_tilted_pass_bit_identical_to_whole_array(self, name):
+        payoff = CLAIMS[name]
+        block = draw_samples(RngStream(9), 3 * chunk_rows(payoff.dim) + 17, payoff.dim)
+        theta = np.random.default_rng(1).uniform(-0.3, 0.3, payoff.dim)
+        expected = payoff.fn(block.values + theta) * np.exp(
+            -(block.values @ theta) - 0.5 * float(theta @ theta)
+        )
+        terms = tilted_terms(precompute_weights(block, payoff), theta)
+        assert np.array_equal(terms, expected)
+
+    @pytest.mark.parametrize("row", [0, -1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_in_any_chunk_rejected(self, row, bad):
+        payoff = CLAIMS["basket40"]
+        x = np.zeros((3 * chunk_rows(payoff.dim) + 17, payoff.dim))
+        x[row, -1] = bad
+        with pytest.raises(NonFiniteInput, match="non-finite point"):
+            payoff(x)
+
+    def test_memory_above_block_is_bounded_by_a_chunk(self):
+        # A table4 row on 20k samples: the block is 19.2 MB, a whole-array
+        # pass allocated several block-sized path temporaries on top of it.
+        payoff = builtin_experiment("table4")[1].spec.payoff()
+        n, d = 20_000, payoff.dim
+        block = draw_samples(RngStream(3), n, d)
+        theta = np.full(d, 0.05)
+        bound = 8 * chunk_rows(d) * d * 8 + 6 * n * 8
+        assert bound < block.values.nbytes / 3
+        tracemalloc.start()
+        try:
+            table = precompute_weights(block, payoff)
+            weights_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            tilted_terms(table, theta)
+            tilted_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert weights_peak < bound
+        assert tilted_peak < bound
