@@ -52,7 +52,6 @@ from .gaussian import (
     cholesky_correlation,
     draw_samples,
     normal_draws,
-    regenerate,
 )
 from .optimize import (
     OptimResult,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .drift import DriftMap, identity_map, load_dense_map, path_drift_multi
-from .errors import ConfigError
+from .errors import ConfigError, IncompatibleClaim
 from .estimate import MODES
 from .gaussian import RngStream
 from .payoffs import (
@@ -45,7 +45,6 @@ __all__ = [
 
 DEFAULT_LEVEL = 0.95
 DEFAULT_MODES = ("crude", "ris")
-_DRIFT_KINDS = ("identity", "path_single", "path_multi", "dense")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,26 +70,36 @@ class ExperimentSpec:
         return build_payoff(self.model, self.claim)
 
     def drift(self) -> DriftMap:
-        kind = self.drift_kind
+        """The drift map named by ``drift_kind``, checked against the model.
+
+        The one place that knows the drift kinds: ``identity``,
+        ``path_single`` (the one-asset ``path_multi``), ``path_multi`` and
+        ``dense:<file>``. :func:`parse_config` calls it, so a bad selection
+        fails at parse time.
+        """
+        model, kind = self.model, self.drift_kind
         if kind == "identity":
-            return identity_map(self.model.dim)
-        if kind == "path_single":  # the one-asset path_multi
-            return path_drift_multi(self.model.times, 1)
-        if kind == "path_multi":
-            return path_drift_multi(self.model.times, self.model.n_assets)
-        if kind.startswith("dense:"):
-            path = kind.split(":", 1)[1]
+            drift = identity_map(model.dim)
+        elif kind == "path_single":
+            drift = path_drift_multi(model.times, 1)
+        elif kind == "path_multi":
+            drift = path_drift_multi(model.times, model.n_assets)
+        elif kind.startswith("dense:") and kind != "dense:":
             try:
-                drift = load_dense_map(path)
+                drift = load_dense_map(kind.split(":", 1)[1])
             except (OSError, ValueError) as exc:
                 raise ConfigError(str(exc), field="drift") from exc
-            if drift.d != self.model.dim:
-                raise ConfigError(
-                    f"dense drift has d={drift.d} but the model dimension is {self.model.dim}",
-                    field="drift",
-                )
-            return drift
-        raise ConfigError(f"unknown drift kind {kind!r}", field="drift")
+        else:
+            raise ConfigError(
+                f"'drift' must be identity, path_single, path_multi or dense:<file>; got {kind!r}",
+                field="drift",
+            )
+        if drift.d != model.dim:
+            raise ConfigError(
+                f"drift {kind!r} has d={drift.d} but the model dimension is {model.dim}",
+                field="drift",
+            )
+        return drift
 
     @property
     def d_reduced(self) -> int:
@@ -372,36 +381,32 @@ def _check_modes(modes):
             )
 
 
-def _build_run(section: _Section):
+def _build_run(section: _Section, **rest) -> ExperimentSpec:
+    """The spec with its [run] keys; ``rest`` holds label, model and claim."""
     fields = _Fields("run", section)
-    n = fields.integer("n", required=True)
-    seed = fields.integer("seed", required=True)
-    modes = fields.words("modes", default=DEFAULT_MODES)
-    drift_kind = fields.string("drift", default="identity")
-    level = fields.number("level", default=DEFAULT_LEVEL)
-    replications = fields.integer("replications")
-    out_format = fields.string("format", default="text", choices=("text", "csv"))
+    spec = ExperimentSpec(
+        n=fields.integer("n", required=True),
+        seed=fields.integer("seed", required=True),
+        modes=fields.words("modes", default=DEFAULT_MODES),
+        drift_kind=fields.string("drift", default="identity"),
+        level=fields.number("level", default=DEFAULT_LEVEL),
+        replications=fields.integer("replications"),
+        out_format=fields.string("format", default="text", choices=("text", "csv")),
+        **rest,
+    )
     fields.finish()
-    if n < 1:
+    if spec.n < 1:
         raise ConfigError("'n' must be >= 1", field="n")
     try:
-        RngStream(seed)
+        RngStream(spec.seed)
     except ValueError as exc:
         raise ConfigError(str(exc), field="seed") from exc
-    if not 0.0 < level < 1.0:
+    if not 0.0 < spec.level < 1.0:
         raise ConfigError("'level' must lie in (0, 1)", field="level")
-    _check_modes(modes)
-    base = drift_kind.split(":", 1)[0]
-    if base not in _DRIFT_KINDS:
-        raise ConfigError(
-            f"'drift' must be one of {', '.join(_DRIFT_KINDS)} (dense takes 'dense:<file>')",
-            field="drift",
-        )
-    if base == "dense" and ":" not in drift_kind:
-        raise ConfigError("dense drift needs a file: 'dense:<file>'", field="drift")
-    if replications is not None and replications < 1:
+    _check_modes(spec.modes)
+    if spec.replications is not None and spec.replications < 1:
         raise ConfigError("'replications' must be >= 1", field="replications")
-    return n, seed, tuple(modes), drift_kind, level, replications, out_format
+    return spec
 
 
 def parse_config(path) -> ExperimentSpec:
@@ -409,21 +414,12 @@ def parse_config(path) -> ExperimentSpec:
     sections = _read_sections(path)
     model = _build_model(sections["model"])
     claim = _build_claim(sections["claim"], model)
-    n, seed, modes, drift_kind, level, replications, out_format = _build_run(sections["run"])
-    spec = ExperimentSpec(
-        label=str(path),
-        model=model,
-        claim=claim,
-        drift_kind=drift_kind,
-        modes=modes,
-        n=n,
-        seed=seed,
-        level=level,
-        replications=replications,
-        out_format=out_format,
-    )
-    spec.drift()  # validate the drift selection (dense file must exist and fit)
-    spec.payoff()  # validate the claim/model pairing
+    spec = _build_run(sections["run"], label=str(path), model=model, claim=claim)
+    spec.drift()  # the drift selection
+    try:
+        spec.payoff()  # the claim/model pairing
+    except IncompatibleClaim as exc:
+        raise ConfigError(str(exc), field="claim") from exc
     return spec
 
 
@@ -432,116 +428,76 @@ def parse_config(path) -> ExperimentSpec:
 # Each builtin is one benchmark parameter grid: a 40-asset basket
 # over a correlation/strike grid, a single-asset discretely monitored
 # down-and-out call over barrier levels, a 5-asset barrier basket over
-# strikes, and the digital-option interval-coverage study.
+# strikes, and the digital-option interval-coverage study. A grid yields
+# its (label, model, claim) points; the table below adds the rest.
 
 _DEFAULT_SEED = 1729
+_MONTHLY_2Y = 2.0 / 24.0 * np.arange(1, 25)
 
 
-def _basket_grid(n, seed, modes, level) -> list[ExperimentRow]:
-    rows = []
+def _basket_points():
     for rho, strike in ((0.1, 45), (0.1, 55), (0.2, 50), (0.5, 45), (0.5, 55), (0.9, 45), (0.9, 55)):
         model = BlackScholesMulti.create(40, [1.0], 50.0, 0.2, 0.05, rho)
-        spec = ExperimentSpec(
-            label=f"rho={rho} K={strike}",
-            model=model,
-            claim=Basket(weights=np.full(40, 1.0 / 40.0), strike=float(strike)),
-            drift_kind="identity",
-            modes=modes or ("crude", "ris"),
-            n=n or 10_000,
-            seed=seed,
-            level=level,
-        )
-        rows.append(ExperimentRow(label=spec.label, spec=spec))
-    return rows
+        yield f"rho={rho} K={strike}", model, Basket(np.full(40, 1.0 / 40.0), float(strike))
 
 
-def _barrier_grid(n, seed, modes, level) -> list[ExperimentRow]:
-    times = 2.0 / 24.0 * np.arange(1, 25)
-    rows = []
+def _barrier_points():
     for barrier in (70.0, 80.0, 90.0, 95.0):
-        model = BlackScholesMulti.create(1, times, 100.0, 0.2, 0.05, 0.0)
-        spec = ExperimentSpec(
-            label=f"L={barrier:g}",
-            model=model,
-            claim=BarrierCall(strike=110.0, barrier=barrier),
-            drift_kind="path_single",
-            modes=modes or ("crude", "ris", "rris"),
-            n=n or 10_000,
-            seed=seed,
-            level=level,
-        )
-        rows.append(ExperimentRow(label=spec.label, spec=spec))
-    return rows
+        model = BlackScholesMulti.create(1, _MONTHLY_2Y, 100.0, 0.2, 0.05, 0.0)
+        yield f"L={barrier:g}", model, BarrierCall(strike=110.0, barrier=barrier)
 
 
-def _barrier_basket_grid(n, seed, modes, level) -> list[ExperimentRow]:
-    times = 2.0 / 24.0 * np.arange(1, 25)
+def _barrier_basket_points():
     spot = np.array([50.0, 40.0, 60.0, 30.0, 20.0])
     barriers = np.array([40.0, 30.0, 45.0, 20.0, 10.0])
-    rows = []
     for strike in (45.0, 50.0, 55.0):
-        model = BlackScholesMulti.create(5, times, spot, 0.2, 0.05, 0.3)
-        spec = ExperimentSpec(
-            label=f"K={strike:g}",
-            model=model,
-            claim=BarrierBasketCall(weights=np.full(5, 0.2), strike=strike, barriers=barriers),
-            drift_kind="path_multi",
-            modes=modes or ("crude", "ris", "rris"),
-            n=n or 100_000,
-            seed=seed,
-            level=level,
-        )
-        rows.append(ExperimentRow(label=spec.label, spec=spec))
-    return rows
+        model = BlackScholesMulti.create(5, _MONTHLY_2Y, spot, 0.2, 0.05, 0.3)
+        yield f"K={strike:g}", model, BarrierBasketCall(np.full(5, 0.2), strike, barriers)
 
 
-def _digital_coverage(n, seed, modes, level) -> list[ExperimentRow]:
+def _digital_points():
     model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05, 0.0)
-    spec = ExperimentSpec(
-        label="digital L=140",
-        model=model,
-        claim=Digital(level=140.0),
-        drift_kind="identity",
-        modes=modes or ("ris",),
-        n=n or 100_000,
-        seed=seed,
-        level=level,
-        replications=2_000,
-    )
-    return [ExperimentRow(label=spec.label, spec=spec)]
+    yield "digital L=140", model, Digital(level=140.0)
 
 
+# name -> (points, drift kind, default modes, default n, replications)
 _BUILTINS = {
-    "table1": _basket_grid,
-    "table3": _barrier_grid,
-    "table4": _barrier_basket_grid,
-    "digital-coverage": _digital_coverage,
+    "table1": (_basket_points, "identity", ("crude", "ris"), 10_000, None),
+    "table3": (_barrier_points, "path_single", ("crude", "ris", "rris"), 10_000, None),
+    "table4": (_barrier_basket_points, "path_multi", ("crude", "ris", "rris"), 100_000, None),
+    "digital-coverage": (_digital_points, "identity", ("ris",), 100_000, 2_000),
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
-def builtin_experiment(
-    name: str,
-    *,
-    n: int | None = None,
-    seed: int | None = None,
-    modes: tuple[str, ...] | None = None,
-    level: float = DEFAULT_LEVEL,
-) -> list[ExperimentRow]:
+def builtin_experiment(name: str, *, n=None, seed=None, modes=None) -> list[ExperimentRow]:
     """Instantiate a builtin experiment, optionally overriding n/seed/modes."""
     try:
-        factory = _BUILTINS[name]
+        points, drift_kind, default_modes, default_n, replications = _BUILTINS[name]
     except KeyError:
         raise ConfigError(
             f"unknown builtin experiment {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
     if modes is not None:
         _check_modes(modes)
-    return factory(n, _DEFAULT_SEED if seed is None else seed, modes, level)
+    rows = []
+    for label, model, claim in points():
+        spec = ExperimentSpec(
+            label=label,
+            model=model,
+            claim=claim,
+            drift_kind=drift_kind,
+            modes=modes or default_modes,
+            n=n or default_n,
+            seed=_DEFAULT_SEED if seed is None else seed,
+            replications=replications,
+        )
+        rows.append(ExperimentRow(label=label, spec=spec))
+    return rows
 
 
-def with_overrides(spec: ExperimentSpec, *, n=None, seed=None, modes=None, level=None):
+def with_overrides(spec: ExperimentSpec, *, n=None, seed=None, modes=None):
     """Copy of ``spec`` with selected run parameters replaced."""
     updates = {}
     if n is not None:
@@ -551,6 +507,4 @@ def with_overrides(spec: ExperimentSpec, *, n=None, seed=None, modes=None, level
     if modes is not None:
         _check_modes(modes)
         updates["modes"] = tuple(modes)
-    if level is not None:
-        updates["level"] = level
     return replace(spec, **updates) if updates else spec

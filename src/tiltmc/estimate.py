@@ -6,8 +6,9 @@ The estimator of E[f(G)] under a drift theta is
 
 unbiased for any fixed theta. The pipelines tune theta on the same stored
 samples (modes ``ris`` and ``rris``), on an independent stream
-(``two_stage``), or not at all (``crude``), and attach an interval based on
-the variance proxy evaluated at the optimized parameter.
+(``two_stage``), or not at all (``crude``), and attach a CLT interval. Its
+second moment is the variance proxy v_n at the optimum where the tilt was
+tuned on the same samples, and otherwise the summands' sample second moment.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ def tilted_terms(table: WeightTable, theta) -> np.ndarray:
 
 
 def variance_estimate(v_at_min: float, price: float) -> tuple[float, bool]:
-    """Asymptotic-variance estimate v_n(theta_n) - M_n^2, clamped at zero.
+    """Asymptotic-variance estimate: second moment minus M_n^2, clamped at zero.
 
-    The raw difference converges to the true optimal variance but can dip
-    below zero for small n; the clamp flag records that this happened.
+    With the same-sample second moment v_n(theta_n) the raw difference
+    converges to the true optimal variance but can dip below zero for
+    small n; the clamp flag records that this happened.
     """
     if v_at_min < 0:
         raise ValueError("v_at_min must be nonnegative")
@@ -207,7 +209,9 @@ def run_pipeline(
         main table is used only for the final estimate.
 
     Every mode evaluates the same estimator M_n at its tilt (zero for
-    crude) with the second moment v_n at that tilt. A
+    crude). ``ris`` and ``rris`` take the second moment from v_n at the
+    optimum, as the paper does; crude, ``two_stage`` and a fallback take it
+    from the mean of the squared summands. A
     :class:`ConvergenceFailure` in the optimizer degrades to the crude
     estimate with ``fallback=True`` and a warning instead of raising, so
     batch runs keep going.
@@ -241,7 +245,8 @@ def run_pipeline(
 
     terms = tilted_terms(table, np.zeros(samples.d) if theta is None else theta)
     price = float(terms.mean())
-    second_moment = float((terms * terms).mean()) if optim is None else optim.v_value
+    tuned_here = optim is not None and mode != "two_stage"  # tilt tuned on these samples
+    second_moment = optim.v_value if tuned_here else float((terms * terms).mean())
     variance, clamped = variance_estimate(second_moment, price)
     low, high = confidence_interval(price, variance, samples.n, level)
     return EstimateReport(

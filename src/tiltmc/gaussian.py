@@ -24,7 +24,6 @@ __all__ = [
     "PathMap",
     "normal_draws",
     "draw_samples",
-    "regenerate",
     "cholesky_correlation",
     "build_path_map",
 ]
@@ -92,8 +91,8 @@ class SampleBlock:
     """Stored i.i.d. standard normal draws with their generator provenance.
 
     ``values`` has shape (n, d) and is read-only; it holds the first n*d
-    draws of the ``provenance`` stream, so :func:`regenerate` reproduces
-    the block exactly.
+    draws of the ``provenance`` stream, so ``draw_samples(provenance, n, d)``
+    reproduces the block exactly.
     """
 
     values: np.ndarray
@@ -142,11 +141,6 @@ def draw_samples(stream: RngStream, n: int, d: int) -> SampleBlock:
         hi = min(lo + _FILL_CHUNK, total)
         flat[lo:hi] = normal_draws(stream, hi - lo, offset=lo)
     return SampleBlock(values=flat.reshape(n, d), provenance=stream)
-
-
-def regenerate(block: SampleBlock) -> SampleBlock:
-    """Re-draw a block from its provenance; bit-identical to the original."""
-    return draw_samples(block.provenance, block.n, block.d)
 
 
 def cholesky_correlation(n_assets: int, rho: float) -> np.ndarray:

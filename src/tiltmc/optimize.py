@@ -168,14 +168,14 @@ class OptimResult:
     """Minimizer of u_n with convergence diagnostics.
 
     ``u_history`` holds u_n at the initial point and after each accepted
-    step; it is strictly decreasing. ``safeguarded`` flags that at least one
+    step; it is strictly decreasing and ends at the minimum, where
+    ``v_value`` = exp(u_n)/n. ``safeguarded`` flags that at least one
     Newton step had to be shortened to descend.
     """
 
     theta: np.ndarray
     iterations: int
     grad_norm: float
-    u_value: float
     v_value: float
     safeguarded: bool
     u_history: np.ndarray
@@ -185,13 +185,7 @@ class OptimResult:
         self.u_history.setflags(write=False)
 
 
-def newton_minimize(
-    table: WeightTable,
-    drift: DriftMap,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> OptimResult:
+def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
     """Find the unique minimizer of u_n by safeguarded Newton iteration.
 
     Each step solves H p = -g through a Cholesky factorization (H is
@@ -204,8 +198,9 @@ def newton_minimize(
     Raises
     ------
     ConvergenceFailure
-        If the gradient norm does not reach ``tol`` within ``max_iter``
-        accepted steps, or a step underflows during backtracking.
+        If the gradient norm does not reach ``DEFAULT_TOL`` within
+        ``DEFAULT_MAX_ITER`` accepted steps, or a step underflows during
+        backtracking.
     SingularHessian
         If the Cholesky factorization fails, which signals a rank-deficient
         drift map rather than a property of the payoff.
@@ -223,19 +218,18 @@ def newton_minimize(
     history = [u]
     safeguarded = False
 
-    for iteration in range(max_iter + 1):
+    for iteration in range(DEFAULT_MAX_ITER + 1):
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol:
+        if grad_norm <= DEFAULT_TOL:
             return OptimResult(
                 theta=x,
                 iterations=iteration,
                 grad_norm=grad_norm,
-                u_value=u,
                 v_value=obj.v_from_u(u),
                 safeguarded=safeguarded,
                 u_history=np.array(history),
             )
-        if iteration == max_iter:
+        if iteration == DEFAULT_MAX_ITER:
             break
         try:
             factor = cho_factor(hess, lower=True)
@@ -263,8 +257,8 @@ def newton_minimize(
         history.append(u)
 
     raise ConvergenceFailure(
-        f"gradient norm {float(np.linalg.norm(grad)):.3e} after {max_iter} iterations "
-        f"(tolerance {tol:.1e})"
+        f"gradient norm {float(np.linalg.norm(grad)):.3e} after {DEFAULT_MAX_ITER} "
+        f"iterations (tolerance {DEFAULT_TOL:.1e})"
     )
 
 

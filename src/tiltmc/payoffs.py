@@ -392,16 +392,10 @@ ClaimSpec = Union[Basket, Digital, VanillaCall, VanillaPut, BarrierCall, Barrier
 
 @dataclass(frozen=True, eq=False)
 class Payoff:
-    """Discounted claim evaluator f: R^d -> R.
-
-    ``model`` and ``claim`` are kept for introspection and are None for
-    payoffs wrapped from a raw function.
-    """
+    """Discounted claim evaluator f: R^d -> R."""
 
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
-    model: ModelSpec | None = None
-    claim: ClaimSpec | None = None
 
     def __call__(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=np.float64)
@@ -439,7 +433,8 @@ def build_payoff(model: ModelSpec, claim: ClaimSpec) -> Payoff:
 
     The discount factor exp(-r T) is part of the payoff, so estimates are
     present values. Claim/model compatibility (asset counts, barrier
-    vectors) is checked here, once, not per evaluation.
+    vectors) is checked here on one point, so a bad pairing fails when the
+    payoff is built; every ``payout`` call checks it again on each chunk.
     """
     discount = np.exp(-model.rate * model.maturity)
     claim.payout(model.paths(np.zeros(model.dim)), model)  # validate pairing eagerly
@@ -447,4 +442,4 @@ def build_payoff(model: ModelSpec, claim: ClaimSpec) -> Payoff:
     def fn(x: np.ndarray) -> np.ndarray:
         return discount * claim.payout(model.paths(x), model)
 
-    return Payoff(dim=model.dim, fn=fn, model=model, claim=claim)
+    return Payoff(dim=model.dim, fn=fn)

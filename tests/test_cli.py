@@ -43,6 +43,28 @@ seed = 7
 modes = crude ris
 """
 
+TWO_ASSET_CFG = """
+[model]
+kind = bs
+assets = 2
+steps = 4
+maturity = 1
+spot = 100
+vol = 0.2
+rate = 0.05
+rho = 0.5
+
+[claim]
+kind = basket
+weights = 0.5
+strike = 100
+
+[run]
+n = 1000
+seed = 3
+"""
+BASKET_CLAIM = "kind = basket\nweights = 0.5\nstrike = 100"
+
 
 def _digital_config(tmp_path):
     path = tmp_path / "digital.cfg"
@@ -175,6 +197,27 @@ class TestExitCodes:
         assert main(argv + ["--format", "csv"]) == 2
         captured = capsys.readouterr()
         assert "field 'modes'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["price", "experiment", "coverage"])
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (DIGITAL_CFG + "drift = bogus\n", "drift"),
+            (DIGITAL_CFG + "drift = dense\n", "drift"),
+            (TWO_ASSET_CFG + "drift = path_single\n", "drift"),
+            (TWO_ASSET_CFG.replace(BASKET_CLAIM, "kind = digital\nlevel = 140"), "claim"),
+        ],
+        ids=["unknown-drift", "dense-without-file", "path-single-on-two-assets",
+             "digital-on-two-assets"],
+    )
+    def test_bad_selection_fails_at_parse_time(self, tmp_path, capsys, command, config, field):
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        argv = [command, str(path), "--n", "200", "--format", "csv"]
+        assert main(argv + (["--replications", "5"] if command == "coverage" else [])) == 2
+        captured = capsys.readouterr()
+        assert f"field '{field}'" in captured.err
         assert captured.out == ""
 
     def test_price_success(self, tmp_path, capsys):

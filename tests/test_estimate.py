@@ -11,11 +11,13 @@ Claims:
     - confidence intervals use the documented normal quantile
     - pipelines share one weight table between optimization and estimation,
       run every mode, degrade gracefully, reject non-finite summands in every
-      mode, and are deterministic
+      mode, and are deterministic; two_stage takes its variance from its own
+      summands
     - repeated same-sample runs cut the variance estimate well below the
       untilted one
     - interval coverage behaves as advertised on degenerate and digital
-      payoffs
+      payoffs, and two_stage's interval, built from its own summands, holds
+      the price at the nominal rate on a d = 50 basket
 """
 
 import numpy as np
@@ -164,6 +166,15 @@ class TestPipelines:
             assert report.optimizer_provenance.seed == 99
             assert report.optimizer_provenance.stream_id not in used
 
+    def test_two_stage_variance_comes_from_its_own_terms(self):
+        # The tilt was tuned on another block, so v_n at its minimum says
+        # nothing about these summands: the second moment is their own.
+        table = _basket_setup(n=2_000)
+        report = run_pipeline(table, "two_stage")
+        terms = tilted_terms(table, report.theta)
+        assert report.variance == float((terms * terms).mean()) - report.price * report.price
+        assert not report.variance_clamped
+
     def test_subspace_mode_uses_supplied_drift(self):
         times = 2.0 / 24.0 * np.arange(1, 25)
         model = BlackScholesMulti.create(1, times, 100.0, 0.2, 0.05)
@@ -301,6 +312,23 @@ class TestCoverage:
         wide = coverage_experiment(payoff, "ris", 4_000, 42, reference, level=0.99, **kwargs)
         narrow = coverage_experiment(payoff, "ris", 4_000, 42, reference, level=0.95, **kwargs)
         assert wide.empirical_level >= narrow.empirical_level
+
+    def test_two_stage_interval_coverage(self):
+        # 5 assets x 10 steps (d = 50) at n = 300: the tuning block's
+        # in-sample minimum v_n understates the main block's variance, so an
+        # interval built from it would be far too narrow here.
+        model = BlackScholesMulti.create(5, 0.1 * np.arange(1, 11), 100.0, 0.2, 0.05, 0.3)
+        payoff = build_payoff(model, Basket(weights=np.full(5, 0.2), strike=100.0))
+        reference = np.mean(
+            [payoff(draw_samples(RngStream(5, 1000 + k), 50_000, 50).values).mean() for k in range(4)]
+        )
+        replications = 200
+        result = coverage_experiment(
+            payoff, "two_stage", 300, 2024, reference, replications=replications
+        )
+        assert result.failures == 0
+        band = 4.5 * np.sqrt(0.95 * 0.05 / replications)
+        assert abs(result.empirical_level - 0.95) <= band
 
     def test_failures_are_recorded_and_excluded(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
