@@ -178,11 +178,11 @@ def reference_price(spec: ExperimentSpec, *, n_ref: int = 2_000_000) -> float:
             return bs_put_price(spot, claim.strike, rate, vol, maturity)
     payoff = spec.payoff()
     stream = RngStream(spec.seed, _REFERENCE_STREAM_ID)
-    chunk_rows = max(1, 1_000_000 // payoff.dim)
+    rows_per_draw = max(1, 1_000_000 // payoff.dim)
     total = 0.0
     done = 0
     while done < n_ref:
-        m = min(chunk_rows, n_ref - done)
+        m = min(rows_per_draw, n_ref - done)
         draws = normal_draws(stream, m * payoff.dim, offset=done * payoff.dim)
         total += float(np.sum(payoff(draws.reshape(m, payoff.dim))))
         done += m

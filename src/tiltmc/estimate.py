@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .drift import DriftMap, identity_map
-from .errors import ConvergenceFailure, NonFiniteEstimate, TiltmcError
+from .errors import ConvergenceFailure, DimensionMismatch, NonFiniteEstimate, TiltmcError
 from .gaussian import RngStream, draw_samples
 from .optimize import OptimResult, WeightTable, newton_minimize, precompute_weights
 from .payoffs import Payoff, chunk_rows
@@ -299,9 +299,15 @@ def coverage_experiment(
     independent and individually reproducible. Replications that fail with a
     :class:`TiltmcError` (e.g. a degenerate payoff on a small block) are
     counted and excluded from the empirical level; other exceptions propagate.
+    A drift map that does not fit the payoff is a caller error and raises
+    :class:`DimensionMismatch` before the first replication.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if drift is not None and drift.d != payoff.dim:
+        raise DimensionMismatch(
+            f"drift map has dimension {drift.d} but the payoff has dimension {payoff.dim}"
+        )
 
     def one(rep: int) -> bool | None:
         block = draw_samples(RngStream(seed, rep), n, payoff.dim)

@@ -32,7 +32,7 @@ __all__ = [
 DEFAULT_SAMPLE_BUDGET = 1 << 27
 
 # Blocks are filled in fixed-size flat chunks, which bounds the size of the
-# temporaries (raw words, uniforms) to one chunk.
+# one temporary (raw words, turned into uniforms in place) to one chunk.
 _FILL_CHUNK = 1 << 16
 
 # Dense path-map matrices are only materialized up to this dimension.
@@ -80,10 +80,20 @@ def normal_draws(stream: RngStream, count: int, offset: int = 0) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    raw = _raw_words(stream, offset, count)
+    out = np.empty(count, dtype=np.float64)
+    _fill_normals(stream, offset, out)
+    return out
+
+
+def _fill_normals(stream: RngStream, offset: int, out: np.ndarray) -> None:
+    """Write the normals at flat indices ``offset .. offset+out.size-1`` into ``out``."""
+    raw = _raw_words(stream, offset, out.size)
     # 53-bit uniform shifted to the open interval (0, 1); ndtri is then finite.
-    u = ((raw >> _U64(11)).astype(np.float64) + 0.5) * _TWO_M53
-    return ndtri(u)
+    raw >>= _U64(11)
+    u = raw.view(np.float64)
+    np.add(raw, 0.5, out=u)
+    u *= _TWO_M53
+    ndtri(u, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +148,7 @@ def draw_samples(stream: RngStream, n: int, d: int) -> SampleBlock:
         )
     flat = np.empty(total, dtype=np.float64)
     for lo in range(0, total, _FILL_CHUNK):
-        hi = min(lo + _FILL_CHUNK, total)
-        flat[lo:hi] = normal_draws(stream, hi - lo, offset=lo)
+        _fill_normals(stream, lo, flat[lo : lo + _FILL_CHUNK])
     return SampleBlock(values=flat.reshape(n, d), provenance=stream)
 
 
@@ -218,8 +227,9 @@ class PathMap:
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected last dimension {self.dim}, got {x.shape[-1]}")
         steps = x.reshape(x.shape[:-1] + (self.n_steps, self.n_assets))
-        increments = (steps @ self.chol.T) * np.sqrt(self.step_sizes)[:, None]
-        return np.cumsum(increments, axis=-2)
+        w = steps @ self.chol.T
+        w *= np.sqrt(self.step_sizes)[:, None]
+        return np.cumsum(w, axis=-2, out=w)
 
     def dense(self) -> np.ndarray:
         """Materialize the (I*N) x (I*N) block lower-triangular matrix."""

@@ -18,6 +18,8 @@ Claims:
     - interval coverage behaves as advertised on degenerate and digital
       payoffs, and two_stage's interval, built from its own summands, holds
       the price at the nominal rate on a d = 50 basket
+    - a coverage run with a drift map that does not fit the payoff is a
+      caller error, raised before any replication is drawn
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from tiltmc import (
     ConvergenceFailure,
     DegeneratePayoff,
     Digital,
+    DimensionMismatch,
     NonFiniteEstimate,
     NonFiniteObjective,
     Payoff,
@@ -339,6 +342,18 @@ class TestCoverage:
         assert result.failures > 0
         assert result.replications == 60
         assert 0 <= result.hits <= 60 - result.failures
+
+    def test_drift_of_wrong_dimension_raises_before_any_replication(self, monkeypatch):
+        model = BlackScholesMulti.create(2, [0.5, 1.0], 100.0, 0.2, 0.05, 0.3)
+        payoff = build_payoff(model, Basket(weights=np.full(2, 0.5), strike=100.0))
+        drift = path_drift_multi(model.times, 1)  # d = 2, the payoff's d = 4
+        drawn = []
+        monkeypatch.setattr(
+            tiltmc.estimate, "draw_samples", lambda *args: drawn.append(args) or draw_samples(*args)
+        )
+        with pytest.raises(DimensionMismatch, match="dimension 2 .* dimension 4"):
+            coverage_experiment(payoff, "rris", 200, 1, 10.0, replications=5, drift=drift)
+        assert drawn == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_error_in_payoff_propagates(self, threads):

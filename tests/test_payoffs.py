@@ -10,6 +10,11 @@ Claims:
     - barrier payoffs are nondecreasing along the single-parameter path
       drift direction
     - claim/model compatibility is validated eagerly
+    - lognormal claims read Brownian values: the terminal read equals the
+      price grid's last date bitwise, and barrier claims, monitored against
+      thresholds on W, equal their price-space definitions bitwise, also on
+      paths placed just either side of a barrier; Euler barrier claims
+      compare prices directly
     - batches are evaluated over 64-row-aligned row chunks: bit-identical to
       one whole-array call for every claim (payoff and tilted pass), no
       non-finite row is skipped, and the extra memory is bounded by a chunk,
@@ -168,6 +173,91 @@ class TestClaims:
         flipped = build_payoff(model, Basket(weights=np.array([-1.0]), strike=-95.0))
         x = np.linspace(-3, 3, 13).reshape(-1, 1)
         assert put(x) == approx(flipped(x))
+
+
+def _near_barrier_rows(model, barriers, rng, count):
+    """Rows that stay near the drift except at one random (date, asset),
+    where the price is barrier * (1 -+ 1e-9): even rows just below, odd
+    rows just above."""
+    x = 0.1 * rng.standard_normal((count, model.dim))
+    steps = x.reshape(count, model.n_steps, model.n_assets)
+    sqrt_dt = np.sqrt(np.diff(model.times, prepend=0.0))
+    log_drift = np.outer(model.times, model.rate - 0.5 * model.vol**2)
+    barriers = np.broadcast_to(barriers, (model.n_assets,))
+    for k in range(count):
+        j, i = rng.integers(model.n_steps), rng.integers(model.n_assets)
+        level = barriers[i] * (1.0 + (1e-9 if k % 2 else -1e-9))
+        target = (np.log(level / model.spot[i]) - log_drift[j, i]) / model.vol[i]
+        w = model.states(x[k])
+        # W[j, i] moves by sqrt(dt_j) * chol[i, i] per unit of this entry;
+        # the next increment takes the move back, so later dates keep theirs.
+        shift = (target - w[j, i]) / (sqrt_dt[j] * model.path_map.chol[i, i])
+        steps[k, j, i] += shift
+        if j + 1 < model.n_steps:
+            steps[k, j + 1, i] -= shift * sqrt_dt[j] / sqrt_dt[j + 1]
+    return x
+
+
+def _price_space_reference(model, claim, x):
+    """The claim's definition evaluated on the full price grid."""
+    s = model.paths(x)
+    if isinstance(claim, BarrierBasketCall):
+        alive = (s >= claim.barriers).all(axis=(-2, -1))
+        value = np.maximum(s[..., -1, :] @ claim.weights - claim.strike, 0.0)
+    else:
+        path = s[..., 0]
+        alive = (path >= claim.barrier if claim.knock == "down-out" else path <= claim.barrier).all(axis=-1)
+        value = np.maximum(path[..., -1] - claim.strike, 0.0)
+    return np.exp(-model.rate * model.maturity) * (value * alive), alive
+
+
+class TestBrownianReads:
+    steps = 2.0 / 24.0 * np.arange(1, 25)
+    five = BlackScholesMulti.create(5, steps, [50.0, 40.0, 60.0, 30.0, 20.0], 0.2, 0.05, 0.3)
+    single = BlackScholesMulti.create(1, steps, 100.0, 0.2, 0.05)
+    CASES = {
+        "basket": (five, BarrierBasketCall(
+            weights=np.full(5, 0.2), strike=38.0, barriers=np.array([45.0, 36.0, 54.0, 27.0, 18.0]),
+        )),
+        "down-out": (single, BarrierCall(strike=100.0, barrier=90.0)),
+        "up-out": (single, BarrierCall(strike=95.0, barrier=115.0, knock="up-out")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_barrier_claim_equals_price_space_reference(self, name):
+        model, claim = self.CASES[name]
+        barriers = claim.barriers if isinstance(claim, BarrierBasketCall) else claim.barrier
+        near = _near_barrier_rows(model, barriers, np.random.default_rng(4), 400)
+        x = np.concatenate([draw_samples(RngStream(6), 3000, model.dim).values, near])
+        expected, alive = _price_space_reference(model, claim, x)
+        assert np.array_equal(build_payoff(model, claim)(x), expected)
+        # The rows placed at the barrier land on the intended sides of it:
+        # the side beyond it knocks out, the other survives unless another
+        # date crosses too.
+        below, above = alive[-400::2], alive[-399::2]
+        knocked, kept = (above, below) if name == "up-out" else (below, above)
+        assert not knocked.any()
+        assert kept.mean() > 0.9
+
+    @pytest.mark.parametrize("model", [five, single, _basket40()[0]], ids=["five", "single", "basket40"])
+    def test_terminal_read_is_the_price_grid_last_date(self, model):
+        x = draw_samples(RngStream(8), 700, model.dim).values
+        assert np.array_equal(model.terminal(model.states(x)), model.paths(x)[..., -1, :])
+        assert np.array_equal(model.terminal(model.states(x[5])), model.paths(x[5])[-1, :])
+
+    @pytest.mark.parametrize("knock, barrier", [("down-out", 85.0), ("up-out", 125.0)])
+    def test_local_vol_barrier_call_prices_on_euler_prices(self, knock, barrier):
+        model = LocalVol1D(
+            spot=100.0, rate=0.05, maturity=1.0, n_steps=12,
+            vol_fn=PowerLawVol(sigma=0.2, gamma=0.5, ref_spot=100.0),
+        )
+        claim = BarrierCall(strike=100.0, barrier=barrier, knock=knock)
+        x = draw_samples(RngStream(12), 20_000, model.dim).values
+        values = build_payoff(model, claim)(x)
+        expected, alive = _price_space_reference(model, claim, x)
+        assert np.array_equal(values, expected)
+        assert 0.2 < alive.mean() < 0.99
+        assert 0.0 < values.mean() < build_payoff(model, VanillaCall(strike=100.0))(x).mean()
 
 
 class TestMonotonicityAlongDrift:
