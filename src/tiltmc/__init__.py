@@ -9,10 +9,7 @@ CLT-based confidence interval.
 """
 
 from .drift import (
-    DenseDrift,
     DriftMap,
-    IdentityDrift,
-    PathMultiDrift,
     dense_map,
     identity_map,
     load_dense_map,

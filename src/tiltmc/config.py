@@ -17,7 +17,7 @@ import numpy as np
 from .drift import DriftMap, identity_map, load_dense_map, path_drift_multi
 from .errors import ConfigError, IncompatibleClaim
 from .estimate import MODES
-from .gaussian import RngStream
+from .gaussian import DEFAULT_SAMPLE_BUDGET, RngStream
 from .payoffs import (
     BarrierBasketCall,
     BarrierCall,
@@ -61,6 +61,18 @@ class ExperimentSpec:
     level: float = DEFAULT_LEVEL
     replications: int | None = None
     out_format: str = "text"
+
+    def __post_init__(self):
+        # Every spec passes here (parsed, builtin or overridden by ``replace``),
+        # so a block the sampler would refuse is a config error on ``n``.
+        if self.n < 1:
+            raise ConfigError("'n' must be >= 1", field="n")
+        if self.n * self.dim > DEFAULT_SAMPLE_BUDGET:
+            raise ConfigError(
+                f"n * dim = {self.n} * {self.dim} exceeds the sample budget of "
+                f"{DEFAULT_SAMPLE_BUDGET} doubles",
+                field="n",
+            )
 
     @property
     def dim(self) -> int:
@@ -395,8 +407,6 @@ def _build_run(section: _Section, **rest) -> ExperimentSpec:
         **rest,
     )
     fields.finish()
-    if spec.n < 1:
-        raise ConfigError("'n' must be >= 1", field="n")
     try:
         RngStream(spec.seed)
     except ValueError as exc:

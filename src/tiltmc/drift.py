@@ -1,10 +1,12 @@
 """Drift subspaces: the reduction matrix A mapping reduced parameters to drifts.
 
 A full importance-sampling search runs over all of R^d; restricting the
-drift to {A v : v in R^d'} keeps the optimization d'-dimensional. The
-structured maps here (identity, and one linear Brownian drift parameter
-per asset) have O(d) apply kernels; arbitrary matrices are supported
-through the dense fallback.
+drift to {A v : v in R^d'} keeps the optimization d'-dimensional. A is one
+:class:`DriftMap`, a d x d' matrix of full column rank: one column of
+square-root time steps per asset (:func:`path_drift_multi`), or any matrix
+(:func:`dense_map`, :func:`load_dense_map`). The identity
+(:func:`identity_map`) stays implicit: its adjoint hands a sample block
+back unchanged instead of multiplying it by an explicit d x d matrix.
 """
 
 from __future__ import annotations
@@ -13,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficientDriftMap
+from .errors import DimensionMismatch, NonFiniteInput, RankDeficientDriftMap
 from .gaussian import validate_grid
 
 __all__ = [
     "DriftMap",
-    "IdentityDrift",
-    "PathMultiDrift",
-    "DenseDrift",
     "identity_map",
     "path_drift_multi",
     "dense_map",
@@ -28,25 +27,45 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class DriftMap:
-    """Interface shared by all drift representations.
+    """The d x d' drift matrix A; ``matrix`` is None for A = I_d.
 
-    Subclasses provide ``d`` (ambient dimension), ``d_reduced`` (subspace
-    dimension), ``apply`` (theta = A v), ``apply_adjoint`` (A* x, also for
-    row-stacked batches) and ``gram`` (the d' x d' array A*A).
+    ``apply`` gives theta = A v, ``apply_adjoint`` gives A* x (row by row
+    for a stacked batch) and ``gram`` the d' x d' array A*A. Build one
+    through the factories below, which check the rank.
     """
 
     d: int
-    d_reduced: int
+    matrix: np.ndarray | None = None
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def __post_init__(self):
+        if self.matrix is not None:
+            if self.matrix.shape[0] != self.d:
+                raise DimensionMismatch(f"matrix has {self.matrix.shape[0]} rows, not d={self.d}")
+            self.matrix.setflags(write=False)
 
-    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    @property
+    def d_reduced(self) -> int:
+        return self.d if self.matrix is None else self.matrix.shape[1]
+
+    def apply(self, v) -> np.ndarray:
+        v = self._check_reduced(v)
+        return v.copy() if self.matrix is None else self.matrix @ v
+
+    def apply_adjoint(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] != self.d:
+            raise DimensionMismatch(f"expected trailing dimension {self.d}, got shape {x.shape}")
+        # The identity returns x itself: no copy and no n x d x d product on
+        # the optimizer's sample block.
+        return x if self.matrix is None else x @ self.matrix
 
     def gram(self) -> np.ndarray:
-        raise NotImplementedError
+        if self.matrix is None:
+            return np.eye(self.d)
+        gram = self.matrix.T @ self.matrix
+        return 0.5 * (gram + gram.T)
 
     def _check_reduced(self, v) -> np.ndarray:
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))
@@ -56,132 +75,37 @@ class DriftMap:
             )
         return v
 
-    def _check_ambient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.d:
-            raise DimensionMismatch(
-                f"expected trailing dimension {self.d}, got shape {x.shape}"
-            )
-        return x
 
-
-@dataclass(frozen=True, eq=False)
-class IdentityDrift(DriftMap):
+def identity_map(d: int) -> DriftMap:
     """A = I_d: the unreduced, full-dimensional search space."""
-
-    d: int
-
-    @property
-    def d_reduced(self) -> int:
-        return self.d
-
-    def apply(self, v):
-        return self._check_reduced(v).copy()
-
-    def apply_adjoint(self, x):
-        # No copy: inputs are immutable sample blocks and this is the hot
-        # path of the full-dimensional optimizer.
-        return self._check_ambient(x)
-
-    def gram(self) -> np.ndarray:
-        return np.eye(self.d)
-
-
-@dataclass(frozen=True, eq=False)
-class PathMultiDrift(DriftMap):
-    """One parameter per asset over an N-step grid of I correlated assets.
-
-    With the time-major sample layout, A[(j-1)*I + i, i] = sqrt(t_j - t_{j-1})
-    and every other entry is zero: parameter i adds a linear drift to asset
-    i's Brownian coordinate. With one asset, A is the single column
-    (sqrt(t_1), sqrt(t_2 - t_1), ..., sqrt(t_N - t_{N-1}))*.
-    """
-
-    times: np.ndarray
-    n_assets: int
-
-    def __post_init__(self):
-        self.times.setflags(write=False)
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.size
-
-    @property
-    def d(self) -> int:
-        return self.n_steps * self.n_assets
-
-    @property
-    def d_reduced(self) -> int:
-        return self.n_assets
-
-    @property
-    def sqrt_steps(self) -> np.ndarray:
-        return np.sqrt(np.diff(self.times, prepend=0.0))
-
-    def apply(self, v):
-        v = self._check_reduced(v)
-        return np.outer(self.sqrt_steps, v).reshape(-1)
-
-    def apply_adjoint(self, x):
-        x = self._check_ambient(x)
-        steps = x.reshape(x.shape[:-1] + (self.n_steps, self.n_assets))
-        return np.einsum("...ji,j->...i", steps, self.sqrt_steps)
-
-    def gram(self) -> np.ndarray:
-        # The squared step sizes telescope to the last grid time.
-        return float(self.times[-1]) * np.eye(self.n_assets)
-
-
-@dataclass(frozen=True, eq=False)
-class DenseDrift(DriftMap):
-    """Arbitrary full-column-rank matrix supplied by the user."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def d_reduced(self) -> int:
-        return self.matrix.shape[1]
-
-    def apply(self, v):
-        return self.matrix @ self._check_reduced(v)
-
-    def apply_adjoint(self, x):
-        return self._check_ambient(x) @ self.matrix
-
-    def gram(self) -> np.ndarray:
-        gram = self.matrix.T @ self.matrix
-        return 0.5 * (gram + gram.T)
-
-
-def identity_map(d: int) -> IdentityDrift:
     if d < 1:
         raise ValueError("d must be >= 1")
-    return IdentityDrift(d=d)
+    return DriftMap(d=d)
 
 
-def path_drift_multi(times, n_assets: int) -> PathMultiDrift:
-    """Per-asset drift columns over an I-asset, N-step grid (d = I*N, d' = I)."""
+def path_drift_multi(times, n_assets: int) -> DriftMap:
+    """One linear Brownian drift per asset over an I-asset, N-step grid.
+
+    With the time-major sample layout (d = N*I, d' = I),
+    A[(j-1)*I + i, i] = sqrt(t_j - t_{j-1}) and every other entry is zero.
+    With one asset, A is the single column of square-root time steps.
+    """
     if n_assets < 1:
         raise ValueError("n_assets must be >= 1")
-    return PathMultiDrift(times=validate_grid(times), n_assets=n_assets)
+    sqrt_steps = np.sqrt(np.diff(validate_grid(times), prepend=0.0))
+    return dense_map(np.kron(sqrt_steps[:, None], np.eye(n_assets)))
 
 
-def dense_map(matrix) -> DenseDrift:
-    """Wrap an explicit matrix; rank is verified eagerly via Cholesky of A*A."""
+def dense_map(matrix) -> DriftMap:
+    """Wrap an explicit finite matrix; rank is verified eagerly via Cholesky of A*A."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < matrix.shape[1] or matrix.shape[1] < 1:
         raise RankDeficientDriftMap(
             f"drift matrix must be d x d' with d >= d' >= 1, got shape {matrix.shape}"
         )
-    out = DenseDrift(matrix=matrix)
+    if not np.isfinite(matrix).all():
+        raise NonFiniteInput("drift matrix has NaN or infinite entries")
+    out = DriftMap(d=matrix.shape[0], matrix=matrix)
     try:
         np.linalg.cholesky(out.gram())
     except np.linalg.LinAlgError as exc:
@@ -191,7 +115,7 @@ def dense_map(matrix) -> DenseDrift:
     return out
 
 
-def load_dense_map(path) -> DenseDrift:
+def load_dense_map(path) -> DriftMap:
     """Read a dense drift matrix from a whitespace-separated text file.
 
     The first line holds the two dimensions ``d d'``; the remaining tokens

@@ -30,7 +30,7 @@ class IncompatibleClaim(TiltmcError, ValueError):
 
 
 class NonFiniteInput(TiltmcError, ValueError):
-    """Evaluation point contains NaN or infinity."""
+    """Evaluation point or drift matrix contains NaN or infinity."""
 
 
 class DegeneratePayoff(TiltmcError, ValueError):

@@ -103,7 +103,7 @@ class _Objective:
             )
         self.n = table.n
         self.log_w = np.log(weights[nz])
-        self.reduced = np.atleast_2d(drift.apply_adjoint(table.samples.values[nz]))
+        self.reduced = drift.apply_adjoint(table.samples.values[nz])
         self.gram = drift.gram()
         self.d_reduced = drift.d_reduced
 

@@ -220,6 +220,28 @@ class TestExitCodes:
         assert f"field '{field}'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_dense_drift_is_config_error(self, tmp_path, capsys, value):
+        matrix = tmp_path / "A.txt"
+        matrix.write_text(f"1 1\n{value}\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(DIGITAL_CFG.replace("crude ris", "rris") + f"drift = dense:{matrix}\n")
+        assert main(["price", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "field 'drift'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["price", "experiment", "coverage"])
+    def test_block_over_sample_budget_is_config_error(self, tmp_path, capsys, command):
+        # 200 dates x 10^6 rows is over the 2**27-double block budget.
+        path = tmp_path / "big.cfg"
+        path.write_text(DIGITAL_CFG.replace("maturity = 1", "maturity = 1\nsteps = 200"))
+        argv = [command, str(path), "--n", "1000000", "--format", "csv"]
+        assert main(argv + (["--replications", "5"] if command == "coverage" else [])) == 2
+        captured = capsys.readouterr()
+        assert "field 'n'" in captured.err
+        assert captured.out == ""
+
     def test_price_success(self, tmp_path, capsys):
         assert main(["price", _digital_config(tmp_path), "--n", "500"]) == 0
         out = capsys.readouterr().out

@@ -7,6 +7,8 @@ Claims:
     - inadmissible correlation is rejected with the interval constraint
     - a 5-asset 24-step barrier-basket config derives d = 120, d' = 5
     - builtin grids expose their benchmark parameter rows
+    - every spec, overridden or builtin, rejects a block over the sample
+      budget on field 'n'
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from tiltmc.config import (
     parse_config,
     with_overrides,
 )
+from tiltmc.gaussian import DEFAULT_SAMPLE_BUDGET
 
 MINIMAL_DIGITAL = """
 [model]
@@ -260,6 +263,17 @@ seed = 11
         bumped = with_overrides(spec, n=5000, seed=1, modes=("crude",))
         assert (bumped.n, bumped.seed, bumped.modes) == (5000, 1, ("crude",))
         assert spec.n == 1000  # original untouched
+
+    def test_block_over_sample_budget_names_n(self, tmp_path):
+        spec = parse_config(_write(tmp_path, MINIMAL_DIGITAL))
+        for build in (
+            lambda: with_overrides(spec, n=DEFAULT_SAMPLE_BUDGET + 1),
+            lambda: with_overrides(spec, n=0),
+            lambda: builtin_experiment("table4", n=2_000_000),  # 2e6 rows x d = 120
+        ):
+            with pytest.raises(ConfigError) as info:
+                build()
+            assert info.value.field == "n"
 
 
 class TestBuiltins:

@@ -5,7 +5,8 @@ Claims:
       sqrt time increments, the sparse per-asset layout; the single-asset
       path drift is the one-asset per-asset map)
     - apply/apply_adjoint form an adjoint pair and compose to the Gram matrix
-    - construction rejects rank-deficient matrices and bad grids
+    - construction rejects rank-deficient or non-finite matrices and bad grids
+    - the identity stays implicit: its adjoint returns the block itself
     - dense maps round-trip through the text-file loader
 """
 
@@ -17,7 +18,9 @@ from pytest import approx
 
 from tiltmc import (
     DimensionMismatch,
+    DriftMap,
     InvalidGrid,
+    NonFiniteInput,
     RankDeficientDriftMap,
     dense_map,
     identity_map,
@@ -32,6 +35,11 @@ class TestIdentity:
         v = np.array([1.0, -2.0, 0.5])
         assert drift.apply(v) == approx(v)
         assert drift.apply_adjoint(v) == approx(v)
+
+    def test_adjoint_returns_the_block_itself(self):
+        # A = I is never materialised: no copy and no n x d x d product.
+        block = np.random.default_rng(0).standard_normal((6, 4))
+        assert np.shares_memory(identity_map(4).apply_adjoint(block), block)
 
     def test_gram_is_identity(self):
         assert identity_map(3).gram() == approx(np.eye(3))
@@ -94,6 +102,14 @@ class TestPathMulti:
         nonzero = np.nonzero(theta)[0]
         assert nonzero.tolist() == [0, 3]
 
+    def test_batched_adjoint_matches_per_asset_sums(self):
+        # Reference: A*x[i] = sum_j sqrt(t_j - t_{j-1}) x[(j-1)*I + i].
+        times = np.array([0.5, 1.0, 1.75])
+        x = np.random.default_rng(1).standard_normal((4, 6))
+        steps = np.sqrt(np.diff(times, prepend=0.0))
+        expected = np.einsum("rji,j->ri", x.reshape(4, 3, 2), steps)
+        assert path_drift_multi(times, 2).apply_adjoint(x) == approx(expected, rel=1e-14, abs=0)
+
     def test_dimensions(self):
         drift = path_drift_multi(2.0 / 24.0 * np.arange(1, 25), 5)
         assert drift.d == 120
@@ -116,6 +132,15 @@ class TestDense:
     def test_wide_matrix_rejected(self):
         with pytest.raises(RankDeficientDriftMap):
             dense_map(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        with pytest.raises(NonFiniteInput):
+            dense_map(np.array([[2.0], [value]]))
+
+    def test_rows_must_match_d(self):
+        with pytest.raises(DimensionMismatch):
+            DriftMap(d=3, matrix=np.ones((2, 1)))
 
     def test_dimension_mismatch(self):
         drift = dense_map(np.array([[1.0], [2.0]]))

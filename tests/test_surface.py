@@ -18,12 +18,10 @@ PUBLIC_NAMES = [
     "ConvergenceFailure",
     "CoverageResult",
     "DegeneratePayoff",
-    "DenseDrift",
     "Digital",
     "DimensionMismatch",
     "DriftMap",
     "EstimateReport",
-    "IdentityDrift",
     "IncompatibleClaim",
     "InvalidCorrelation",
     "InvalidGrid",
@@ -33,7 +31,6 @@ PUBLIC_NAMES = [
     "NonFiniteObjective",
     "OptimResult",
     "PathMap",
-    "PathMultiDrift",
     "Payoff",
     "PowerLawVol",
     "QuadratureSpec",
@@ -86,4 +83,4 @@ def _exports():
 
 def test_public_names_snapshot():
     assert _exports() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 62
