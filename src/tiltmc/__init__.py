@@ -42,10 +42,8 @@ from .estimate import (
     variance_estimate,
 )
 from .gaussian import (
-    PathMap,
     RngStream,
     SampleBlock,
-    build_path_map,
     cholesky_correlation,
     draw_samples,
     normal_draws,

@@ -64,7 +64,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # Every spec passes here (parsed, builtin or overridden by ``replace``),
-        # so a block the sampler would refuse is a config error on ``n``.
+        # so a run the engine would refuse is a config error on its field.
         if self.n < 1:
             raise ConfigError("'n' must be >= 1", field="n")
         if self.n * self.dim > DEFAULT_SAMPLE_BUDGET:
@@ -73,6 +73,19 @@ class ExperimentSpec:
                 f"{DEFAULT_SAMPLE_BUDGET} doubles",
                 field="n",
             )
+        try:
+            RngStream(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="seed") from exc
+        if not 0.0 < self.level < 1.0:
+            raise ConfigError("'level' must lie in (0, 1)", field="level")
+        if not self.modes or not set(self.modes) <= set(MODES):
+            raise ConfigError(
+                f"'modes' must be a nonempty subset of {', '.join(MODES)}; got {self.modes!r}",
+                field="modes",
+            )
+        if self.replications is not None and self.replications < 1:
+            raise ConfigError("'replications' must be >= 1", field="replications")
 
     @property
     def dim(self) -> int:
@@ -312,13 +325,13 @@ def _build_model(section: _Section):
     if vol_kind == "constant":
         vol_fn = ConstantVol(fields.number("vol_sigma", required=True))
     elif vol_kind == "power":
-        vol_fn = PowerLawVol(
-            sigma=fields.number("vol_sigma", required=True),
-            gamma=fields.number("vol_gamma", required=True),
-            ref_spot=spot,
-            floor=fields.number("vol_floor", default=0.01),
-            cap=fields.number("vol_cap", default=2.0),
-        )
+        sigma = fields.number("vol_sigma", required=True)
+        gamma = fields.number("vol_gamma", required=True)
+        floor, cap = fields.number("vol_floor", default=0.01), fields.number("vol_cap", default=2.0)
+        try:
+            vol_fn = PowerLawVol(sigma=sigma, gamma=gamma, ref_spot=spot, floor=floor, cap=cap)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="vol_floor") from exc
     else:
         table_path = fields.string("vol_table", required=True)
         try:
@@ -384,19 +397,10 @@ def _build_claim(section: _Section, model):
     return claim
 
 
-def _check_modes(modes):
-    for mode in modes:
-        if mode not in MODES:
-            raise ConfigError(
-                f"unknown mode {mode!r}; expected a subset of {', '.join(MODES)}",
-                field="modes",
-            )
-
-
 def _build_run(section: _Section, **rest) -> ExperimentSpec:
     """The spec with its [run] keys; ``rest`` holds label, model and claim."""
     fields = _Fields("run", section)
-    spec = ExperimentSpec(
+    run = dict(
         n=fields.integer("n", required=True),
         seed=fields.integer("seed", required=True),
         modes=fields.words("modes", default=DEFAULT_MODES),
@@ -404,19 +408,9 @@ def _build_run(section: _Section, **rest) -> ExperimentSpec:
         level=fields.number("level", default=DEFAULT_LEVEL),
         replications=fields.integer("replications"),
         out_format=fields.string("format", default="text", choices=("text", "csv")),
-        **rest,
     )
-    fields.finish()
-    try:
-        RngStream(spec.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="seed") from exc
-    if not 0.0 < spec.level < 1.0:
-        raise ConfigError("'level' must lie in (0, 1)", field="level")
-    _check_modes(spec.modes)
-    if spec.replications is not None and spec.replications < 1:
-        raise ConfigError("'replications' must be >= 1", field="replications")
-    return spec
+    fields.finish()  # an unknown key is reported before any value check
+    return ExperimentSpec(**run, **rest)
 
 
 def parse_config(path) -> ExperimentSpec:
@@ -489,8 +483,6 @@ def builtin_experiment(name: str, *, n=None, seed=None, modes=None) -> list[Expe
         raise ConfigError(
             f"unknown builtin experiment {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
-    if modes is not None:
-        _check_modes(modes)
     rows = []
     for label, model, claim in points():
         spec = ExperimentSpec(
@@ -498,8 +490,8 @@ def builtin_experiment(name: str, *, n=None, seed=None, modes=None) -> list[Expe
             model=model,
             claim=claim,
             drift_kind=drift_kind,
-            modes=modes or default_modes,
-            n=n or default_n,
+            modes=default_modes if modes is None else tuple(modes),
+            n=default_n if n is None else n,
             seed=_DEFAULT_SEED if seed is None else seed,
             replications=replications,
         )
@@ -515,6 +507,5 @@ def with_overrides(spec: ExperimentSpec, *, n=None, seed=None, modes=None):
     if seed is not None:
         updates["seed"] = seed
     if modes is not None:
-        _check_modes(modes)
         updates["modes"] = tuple(modes)
     return replace(spec, **updates) if updates else spec

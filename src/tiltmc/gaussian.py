@@ -1,4 +1,4 @@
-"""Deterministic generation of standard normal samples and Brownian path maps.
+"""Deterministic generation of standard normal samples.
 
 Draws are counter-addressable: the normal at flat index k is a pure function
 of (seed, stream_id, k), so blocks can be filled chunk by chunk, sliced,
@@ -21,11 +21,9 @@ from .errors import InvalidCorrelation, InvalidGrid, SampleBudgetExceeded
 __all__ = [
     "RngStream",
     "SampleBlock",
-    "PathMap",
     "normal_draws",
     "draw_samples",
     "cholesky_correlation",
-    "build_path_map",
 ]
 
 # Default storage budget for one block: 2**27 float64 entries (1 GiB).
@@ -34,9 +32,6 @@ DEFAULT_SAMPLE_BUDGET = 1 << 27
 # Blocks are filled in fixed-size flat chunks, which bounds the size of the
 # one temporary (raw words, turned into uniforms in place) to one chunk.
 _FILL_CHUNK = 1 << 16
-
-# Dense path-map matrices are only materialized up to this dimension.
-DENSE_PATH_LIMIT = 4096
 
 _U64 = np.uint64
 _TWO_M53 = 2.0 ** -53
@@ -178,70 +173,10 @@ def cholesky_correlation(n_assets: int, rho: float) -> np.ndarray:
 
 
 def validate_grid(times) -> np.ndarray:
-    """Flatten a time grid to float64, rejecting empty or non-increasing ones."""
-    times = np.asarray(times, dtype=np.float64).reshape(-1)
+    """A float64 copy of a time grid, flattened; rejects empty or non-increasing ones."""
+    times = np.array(times, dtype=np.float64).reshape(-1)
     if times.size == 0:
         raise InvalidGrid("time grid is empty")
     if times[0] <= 0.0 or np.any(np.diff(times) <= 0.0):
         raise InvalidGrid("time grid must be positive and strictly increasing")
     return times
-
-
-@dataclass(frozen=True, eq=False)
-class PathMap:
-    """Linear map from i.i.d. normals to a correlated discrete Brownian path.
-
-    Applied to G in R^(I*N) (time-major layout: index (j-1)*I + i holds the
-    i-th asset's j-th increment), the result (W_{t_1}, ..., W_{t_N}) has
-    covariance Cov(W^i_{t_j}, W^l_{t_k}) = rho^{1[i != l]} min(t_j, t_k).
-    The map is applied as a blocked triangular product; the dense matrix is
-    only materialized on request and for moderate dimensions.
-    """
-
-    times: np.ndarray
-    chol: np.ndarray  # lower Cholesky factor of the asset correlation
-
-    def __post_init__(self):
-        self.times.setflags(write=False)
-        self.chol.setflags(write=False)
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.size
-
-    @property
-    def n_assets(self) -> int:
-        return self.chol.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.n_steps * self.n_assets
-
-    @property
-    def step_sizes(self) -> np.ndarray:
-        return np.diff(self.times, prepend=0.0)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Map normals (..., I*N) to Brownian values of shape (..., N, I)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"expected last dimension {self.dim}, got {x.shape[-1]}")
-        steps = x.reshape(x.shape[:-1] + (self.n_steps, self.n_assets))
-        w = steps @ self.chol.T
-        w *= np.sqrt(self.step_sizes)[:, None]
-        return np.cumsum(w, axis=-2, out=w)
-
-    def dense(self) -> np.ndarray:
-        """Materialize the (I*N) x (I*N) block lower-triangular matrix."""
-        if self.dim > DENSE_PATH_LIMIT:
-            raise ValueError(
-                f"dense path map of dimension {self.dim} exceeds limit {DENSE_PATH_LIMIT}; "
-                "use apply() instead"
-            )
-        scale = np.tril(np.tile(np.sqrt(self.step_sizes), (self.n_steps, 1)))
-        return np.kron(scale, self.chol)
-
-
-def build_path_map(times, chol: np.ndarray) -> PathMap:
-    """Assemble the Brownian path map for a strictly increasing time grid."""
-    return PathMap(times=validate_grid(times), chol=chol)

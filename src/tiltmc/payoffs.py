@@ -37,7 +37,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import IncompatibleClaim, NonFiniteInput
-from .gaussian import _FILL_CHUNK, PathMap, build_path_map, cholesky_correlation
+from .gaussian import _FILL_CHUNK, cholesky_correlation, validate_grid
 
 __all__ = [
     "BlackScholesMulti",
@@ -100,6 +100,10 @@ class PowerLawVol:
     floor: float = 0.01
     cap: float = 2.0
 
+    def __post_init__(self):
+        if not self.floor <= self.cap:
+            raise ValueError(f"vol_floor {self.floor} exceeds vol_cap {self.cap}")
+
     def __call__(self, t: float, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=np.float64)
         with np.errstate(divide="ignore", over="ignore"):
@@ -125,12 +129,15 @@ class TabulatedVol:
         """Load (t, s, sigma) triples; they must fill a rectangular grid."""
         triples = []
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            for row in csv.reader(handle):
+            reader = csv.reader(handle)
+            for row in reader:
                 if not row or row[0].lstrip().startswith("#"):
                     continue
                 if len(row) != 3:
                     raise ValueError(f"{path}: expected 't,s,sigma' rows, got {row!r}")
                 triples.append(tuple(float(v) for v in row))
+                if not np.isfinite(triples[-1]).all():
+                    raise ValueError(f"{path}: line {reader.line_num} {row!r} is not finite")
         if not triples:
             raise ValueError(f"{path}: no volatility rows found")
         t_grid = np.unique([p[0] for p in triples])
@@ -172,8 +179,10 @@ class BlackScholesMulti:
     """I lognormal assets on a monitoring grid, equicorrelated drivers.
 
     Asset i at grid date t_j is spot_i * exp((rate - vol_i^2/2) t_j +
-    vol_i W^i_{t_j}) with W built from the path map, so the terminal law is
-    exact on the grid.
+    vol_i W^i_{t_j}), so the terminal law is exact on the grid. The model
+    owns the map from normals to W: G in R^(I*N) is read time-major (index
+    (j-1)*I + i holds the i-th asset's j-th increment), and ``states(G)``
+    has covariance Cov(W^i_{t_j}, W^l_{t_k}) = rho^{1[i != l]} min(t_j, t_k).
     """
 
     spot: np.ndarray
@@ -181,7 +190,7 @@ class BlackScholesMulti:
     rate: float
     rho: float
     times: np.ndarray
-    path_map: PathMap = field(init=False, repr=False)
+    chol: np.ndarray = field(init=False, repr=False)  # lower factor of the correlation
 
     def __post_init__(self):
         if np.any(self.spot <= 0):
@@ -192,14 +201,10 @@ class BlackScholesMulti:
             raise ValueError("rate must be nonnegative")
         if self.spot.shape != self.vol.shape or self.spot.ndim != 1:
             raise ValueError("spot and vol must be 1-d arrays of equal length")
-        # Validates rho admissibility and the grid.
-        object.__setattr__(
-            self,
-            "path_map",
-            build_path_map(self.times, cholesky_correlation(self.spot.size, self.rho)),
-        )
-        self.spot.setflags(write=False)
-        self.vol.setflags(write=False)
+        object.__setattr__(self, "chol", cholesky_correlation(self.spot.size, self.rho))
+        object.__setattr__(self, "times", validate_grid(self.times))
+        for array in (self.spot, self.vol, self.times):
+            array.setflags(write=False)
 
     @property
     def n_assets(self) -> int:
@@ -207,27 +212,32 @@ class BlackScholesMulti:
 
     @property
     def n_steps(self) -> int:
-        return self.path_map.n_steps
+        return self.times.size
 
     @property
     def dim(self) -> int:
-        return self.path_map.dim
+        return self.n_steps * self.n_assets
 
     @property
     def maturity(self) -> float:
-        return float(self.path_map.times[-1])
+        return float(self.times[-1])
 
     def _log_drift(self) -> np.ndarray:
         """(rate - vol_i^2/2) t_j, shape (N, I)."""
-        return np.outer(self.path_map.times, self.rate - 0.5 * self.vol**2)
+        return np.outer(self.times, self.rate - 0.5 * self.vol**2)
 
     def paths(self, x: np.ndarray) -> np.ndarray:
         """Asset values S^i_{t_j}, shape (..., N, I)."""
-        return self.spot * np.exp(self._log_drift() + self.vol * self.path_map.apply(x))
+        return self.spot * np.exp(self._log_drift() + self.vol * self.states(x))
 
     def states(self, x: np.ndarray) -> np.ndarray:
         """Brownian values W^i_{t_j}, shape (..., N, I); what claims read."""
-        return self.path_map.apply(x)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"expected last dimension {self.dim}, got {x.shape[-1]}")
+        w = x.reshape(x.shape[:-1] + (self.n_steps, self.n_assets)) @ self.chol.T
+        w *= np.sqrt(np.diff(self.times, prepend=0.0))[:, None]
+        return np.cumsum(w, axis=-2, out=w)
 
     def terminal(self, w: np.ndarray) -> np.ndarray:
         """Asset values at maturity, shape (..., I): ``paths(x)[..., -1, :]`` bit for bit."""
@@ -247,7 +257,6 @@ class BlackScholesMulti:
         """Build from possibly scalar spot/vol, broadcast across assets."""
         spot = np.broadcast_to(np.asarray(spot, dtype=np.float64), (n_assets,)).copy()
         vol = np.broadcast_to(np.asarray(vol, dtype=np.float64), (n_assets,)).copy()
-        times = np.asarray(times, dtype=np.float64).reshape(-1).copy()
         return cls(spot=spot, vol=vol, rate=float(rate), rho=float(rho), times=times)
 
 

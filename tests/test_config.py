@@ -8,7 +8,10 @@ Claims:
     - a 5-asset 24-step barrier-basket config derives d = 120, d' = 5
     - builtin grids expose their benchmark parameter rows
     - every spec, overridden or builtin, rejects a block over the sample
-      budget on field 'n'
+      budget on field 'n', and a bad seed, level, mode list or
+      replication count on its own field
+    - a vol table entry that is not finite, or a vol floor above the cap,
+      fails at parse time and names the field
 """
 
 import numpy as np
@@ -40,6 +43,26 @@ level = 140
 [run]
 n = 1000
 seed = 7
+"""
+
+
+LOCALVOL_TABLE = """
+[model]
+kind = localvol
+spot = 100
+rate = 0.05
+maturity = 1
+steps = 4
+vol_kind = table
+vol_table = {table}
+
+[claim]
+kind = vanilla_call
+strike = 100
+
+[run]
+n = 500
+seed = 11
 """
 
 
@@ -235,28 +258,35 @@ modes = crude rris
     def test_duplicate_vol_table_point_rejected(self, tmp_path, capsys):
         table = tmp_path / "vol.csv"
         table.write_text("0,150,0.2\n1,150,0.2\n1,150,0.9\n")
-        text = """
-[model]
-kind = localvol
-spot = 100
-rate = 0.05
-maturity = 1
-steps = 4
-vol_kind = table
-vol_table = {table}
-
-[claim]
-kind = vanilla_call
-strike = 100
-
-[run]
-n = 500
-seed = 11
-""".format(table=table)
+        text = LOCALVOL_TABLE.format(table=table)
         assert main(["price", str(_write(tmp_path, text))]) == 2
         err = capsys.readouterr().err
         assert "field 'vol_table'" in err
         assert "duplicate (t, s) point (1, 150)" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_vol_table_entry_rejected(self, tmp_path, capsys, value):
+        table = tmp_path / "vol.csv"
+        table.write_text(f"0,100,0.2\n0,150,0.2\n1,100,{value}\n1,150,0.2\n")
+        assert main(["price", str(_write(tmp_path, LOCALVOL_TABLE.format(table=table)))]) == 2
+        captured = capsys.readouterr()
+        assert "field 'vol_table'" in captured.err
+        assert f"line 3 ['1', '100', '{value}'] is not finite" in captured.err
+        assert captured.out == ""
+
+    def test_vol_floor_above_cap_rejected(self, tmp_path, capsys):
+        power = "vol_kind = power\nvol_sigma = 0.2\nvol_gamma = 0.5\nvol_floor = 0.5\nvol_cap = 0.1"
+        text = LOCALVOL_TABLE.replace("vol_kind = table\nvol_table = {table}", power)
+        assert main(["price", str(_write(tmp_path, text))]) == 2
+        captured = capsys.readouterr()
+        assert "field 'vol_floor'" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_run_key_reported_before_run_values(self, tmp_path):
+        text = MINIMAL_DIGITAL.replace("seed = 7", "seed = -1\nbogus = 1")
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, text))
+        assert err.value.field == "bogus"
 
     def test_overrides(self, tmp_path):
         spec = parse_config(_write(tmp_path, MINIMAL_DIGITAL))
@@ -269,6 +299,7 @@ seed = 11
         for build in (
             lambda: with_overrides(spec, n=DEFAULT_SAMPLE_BUDGET + 1),
             lambda: with_overrides(spec, n=0),
+            lambda: builtin_experiment("table1", n=0),
             lambda: builtin_experiment("table4", n=2_000_000),  # 2e6 rows x d = 120
         ):
             with pytest.raises(ConfigError) as info:
@@ -327,3 +358,17 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             builtin_experiment("table9")
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: builtin_experiment("table1", modes=()), "modes"),
+            (lambda: builtin_experiment("table3", seed=-1), "seed"),
+            (lambda: with_overrides(builtin_experiment("table1")[0].spec, modes=()), "modes"),
+        ],
+        ids=["builtin-no-modes", "builtin-negative-seed", "override-no-modes"],
+    )
+    def test_library_overrides_follow_the_spec_rules(self, build, field):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.field == field

@@ -5,8 +5,9 @@ Claims:
       re-draws, chunk-independent fills, stream separation
     - marginals are standard normal (moment bounds and column-wise KS)
     - equicorrelation Cholesky is exact and rejects inadmissible rho
-    - the path map realizes the discrete Brownian covariance exactly
-      (dense composition) and empirically (sampled covariance)
+    - the lognormal model's map from normals to Brownian values realizes
+      the discrete Brownian covariance exactly (dense composition) and
+      empirically (sampled covariance)
 """
 
 import numpy as np
@@ -15,11 +16,11 @@ from pytest import approx
 from scipy.stats import kstest, kstwobign
 
 from tiltmc import (
+    BlackScholesMulti,
     InvalidCorrelation,
     InvalidGrid,
     RngStream,
     SampleBudgetExceeded,
-    build_path_map,
     cholesky_correlation,
     draw_samples,
     normal_draws,
@@ -138,16 +139,26 @@ class TestCorrelationChol:
         assert residual <= 1e-12
 
 
+def _model(times, n_assets=1, rho=0.0):
+    return BlackScholesMulti.create(n_assets, times, 100.0, 0.2, 0.0, rho)
+
+
+def _dense(model):
+    """The (I*N) x (I*N) block lower-triangular matrix that ``states`` applies."""
+    sqrt_dt = np.sqrt(np.diff(model.times, prepend=0.0))
+    return np.kron(np.tril(np.tile(sqrt_dt, (model.n_steps, 1))), model.chol)
+
+
 class TestPathMap:
     def test_single_step_unit_time_is_identity(self):
-        pm = build_path_map([1.0], cholesky_correlation(1, 0.0))
+        model = _model([1.0])
         x = np.array([1.7])
-        assert pm.apply(x) == approx(np.array([[1.7]]))
+        assert model.states(x) == approx(np.array([[1.7]]))
 
     def test_regular_two_step_grid(self):
-        pm = build_path_map([0.5, 1.0], cholesky_correlation(1, 0.0))
+        model = _model([0.5, 1.0])
         g = np.array([2.0, -1.0])
-        w = pm.apply(g)
+        w = model.states(g)
         root = np.sqrt(0.5)
         assert w[0, 0] == approx(root * 2.0)
         assert w[1, 0] == approx(root * (2.0 - 1.0))
@@ -158,8 +169,7 @@ class TestPathMap:
         times = np.array([0.25, 0.7, 1.3, 2.0])
         rho = 0.5
         n_assets = 3
-        pm = build_path_map(times, cholesky_correlation(n_assets, rho))
-        dense = pm.dense()
+        dense = _dense(_model(times, n_assets, rho))
         cov = dense @ dense.T
         corr = np.full((n_assets, n_assets), rho)
         np.fill_diagonal(corr, 1.0)
@@ -167,30 +177,36 @@ class TestPathMap:
         assert np.abs(cov - expected).max() <= 1e-12
 
     def test_sampled_covariance_two_assets(self):
-        pm = build_path_map([1.0], cholesky_correlation(2, 0.5))
+        model = _model([1.0], 2, 0.5)
         block = draw_samples(RngStream(31, 0), 100_000, 2)
-        w = pm.apply(block.values)[:, 0, :]
+        w = model.states(block.values)[:, 0, :]
         cov = np.cov(w.T)
         assert cov == approx(np.array([[1.0, 0.5], [0.5, 1.0]]), abs=0.02)
 
     def test_grid_validation(self):
-        chol = cholesky_correlation(1, 0.0)
         with pytest.raises(InvalidGrid):
-            build_path_map([1.0, 0.5], chol)
+            _model([1.0, 0.5])
         with pytest.raises(InvalidGrid):
-            build_path_map([-1.0, 0.5], chol)
+            _model([-1.0, 0.5])
         with pytest.raises(InvalidGrid):
-            build_path_map([], chol)
-
-    def test_dense_guard(self):
-        pm = build_path_map(np.linspace(0.1, 10.0, 3000), cholesky_correlation(2, 0.1))
-        with pytest.raises(ValueError):
-            pm.dense()
+            _model([])
 
     def test_apply_matches_dense(self):
         times = np.array([0.5, 1.0, 1.75])
-        pm = build_path_map(times, cholesky_correlation(2, 0.3))
+        model = _model(times, 2, 0.3)
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(pm.dim)
-        flat = pm.apply(x).reshape(-1)
-        assert flat == approx(pm.dense() @ x)
+        x = rng.standard_normal(model.dim)
+        flat = model.states(x).reshape(-1)
+        assert flat == approx(_dense(model) @ x)
+
+    @pytest.mark.parametrize("times", [[0.5, 1.0], np.array([0.5, 1.0])], ids=["list", "array"])
+    def test_direct_construction_holds_a_read_only_grid(self, times):
+        model = BlackScholesMulti(
+            spot=np.array([100.0]), vol=np.array([0.2]), rate=0.0, rho=0.0, times=times
+        )
+        assert isinstance(model.times, np.ndarray) and model.times.dtype == np.float64
+        assert not model.times.flags.writeable and not model.chol.flags.writeable
+        assert model.maturity == 1.0 and model.dim == 2
+        if isinstance(times, np.ndarray):  # the model's grid is its own copy
+            times[0] = 2.0
+            assert model.times[0] == 0.5

@@ -191,7 +191,7 @@ def _near_barrier_rows(model, barriers, rng, count):
         w = model.states(x[k])
         # W[j, i] moves by sqrt(dt_j) * chol[i, i] per unit of this entry;
         # the next increment takes the move back, so later dates keep theirs.
-        shift = (target - w[j, i]) / (sqrt_dt[j] * model.path_map.chol[i, i])
+        shift = (target - w[j, i]) / (sqrt_dt[j] * model.chol[i, i])
         steps[k, j, i] += shift
         if j + 1 < model.n_steps:
             steps[k, j + 1, i] -= shift * sqrt_dt[j] / sqrt_dt[j + 1]

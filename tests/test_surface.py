@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "NonFiniteInput",
     "NonFiniteObjective",
     "OptimResult",
-    "PathMap",
     "Payoff",
     "PowerLawVol",
     "QuadratureSpec",
@@ -47,7 +46,6 @@ PUBLIC_NAMES = [
     "bs_call_price",
     "bs_digital_price",
     "bs_put_price",
-    "build_path_map",
     "build_payoff",
     "cholesky_correlation",
     "confidence_interval",
@@ -83,4 +81,4 @@ def _exports():
 
 def test_public_names_snapshot():
     assert _exports() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 60
