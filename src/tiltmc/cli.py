@@ -6,9 +6,9 @@ Subcommands:
   per mode.
 * ``experiment <name|config>`` -- run a builtin parameter grid (or a config
   file) and emit one row per parameter set per mode, as aligned text or CSV.
-* ``coverage <config|name>`` -- replicate each listed mode's pipeline with
-  distinct stream ids and report how often its interval contains the
-  reference price.
+* ``coverage <config|name>`` -- replicate the run with distinct stream ids,
+  every listed mode on each replication's one block, and report how often
+  each mode's interval contains the reference price.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures (``price`` and ``coverage``; ``experiment`` batches record row
@@ -27,7 +27,6 @@ import csv
 import io
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +44,11 @@ from .estimate import (
     CSV_COLUMNS,
     CoverageResult,
     EstimateReport,
-    coverage_experiment,
     fmt17,
-    run_pipeline,
+    map_threads,
+    run_block,
 )
-from .gaussian import RngStream, draw_samples, normal_draws
-from .optimize import precompute_weights
+from .gaussian import RngStream, normal_draws
 from .oracles import bs_call_price, bs_digital_price, bs_put_price
 from .payoffs import BlackScholesMulti, Digital, VanillaCall, VanillaPut
 
@@ -72,41 +70,31 @@ def run_experiment(
 ) -> list[ResultRow]:
     """Run every (parameter row, mode) pipeline and keep config order.
 
-    Each parameter row draws one sample block on its own stream id (the row
-    index) and evaluates the payoff on it once; that weight table is shared
-    by all its modes. Rows run concurrently when threads > 1.
-    Numerical failures are recorded inline as error rows and the batch
-    continues, unless ``record_failures`` is False.
+    Each parameter row is one :func:`run_block` on its own stream id (the
+    row index): one block and one payoff evaluation, shared by all its
+    modes. Rows run concurrently when threads > 1. Numerical failures are
+    recorded inline as error rows and the batch continues, unless
+    ``record_failures`` is False: then the row's first error is raised.
     """
 
     def run_row(index_row):
         index, row = index_row
         spec = row.spec
-        payoff = spec.payoff()
-        drift = spec.drift()
-        block = draw_samples(RngStream(spec.seed, index), spec.n, payoff.dim)
-        table = precompute_weights(block, payoff)
+        outcomes = run_block(
+            spec.payoff(), spec.drift(), RngStream(spec.seed, index), spec.n, spec.modes,
+            level=spec.level,
+        )
         results = []
-        for mode in spec.modes:
-            try:
-                report = run_pipeline(table, mode, drift, level=spec.level)
-            except TiltmcError as exc:
-                if not record_failures:
-                    raise
-                results.append(
-                    ResultRow(experiment=name, label=row.label, report=None, error=f"{mode}: {exc}")
-                )
-                continue
-            results.append(ResultRow(experiment=name, label=row.label, report=report))
+        for mode, outcome in zip(spec.modes, outcomes):
+            if isinstance(outcome, EstimateReport):
+                results.append(ResultRow(name, row.label, outcome))
+            elif record_failures:
+                results.append(ResultRow(name, row.label, None, f"{mode}: {outcome}"))
+            else:
+                raise outcome
         return results
 
-    tasks = list(enumerate(rows))
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            nested = list(pool.map(run_row, tasks))
-    else:
-        nested = [run_row(task) for task in tasks]
-    return [item for chunk in nested for item in chunk]
+    return [item for chunk in map_threads(run_row, enumerate(rows), threads) for item in chunk]
 
 
 def emit_report(rows: list[ResultRow], fmt: str, *, timings: bool = False) -> str:
@@ -335,13 +323,18 @@ def main(argv=None) -> int:
         fmt = args.format or spec.out_format
         reference = reference_price(spec)
         payoff, drift = spec.payoff(), spec.drift()
-        blocks = []
-        for mode in spec.modes:
-            result = coverage_experiment(
-                payoff, mode, spec.n, spec.seed, reference,
-                replications=replications, drift=drift, level=spec.level, threads=threads,
-            )
-            blocks.append(_emit_coverage(name, rows[0].label, mode, spec, reference, result, fmt))
+        per_replication = map_threads(
+            lambda rep: run_block(
+                payoff, drift, RngStream(spec.seed, rep), spec.n, spec.modes, level=spec.level
+            ),
+            range(replications),
+            threads,
+        )
+        results = [CoverageResult.tally(outcomes, reference) for outcomes in zip(*per_replication)]
+        blocks = [
+            _emit_coverage(name, rows[0].label, mode, spec, reference, result, fmt)
+            for mode, result in zip(spec.modes, results)
+        ]
         if fmt == "csv":  # one header, then one row per mode
             blocks[1:] = [block.split("\n", 1)[1] for block in blocks[1:]]
         _write("".join(blocks) if fmt == "csv" else "\n".join(blocks), args.out)

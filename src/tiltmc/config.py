@@ -79,9 +79,9 @@ class ExperimentSpec:
             raise ConfigError(str(exc), field="seed") from exc
         if not 0.0 < self.level < 1.0:
             raise ConfigError("'level' must lie in (0, 1)", field="level")
-        if not self.modes or not set(self.modes) <= set(MODES):
+        if not self.modes or len(set(self.modes) & set(MODES)) < len(self.modes):  # known, distinct
             raise ConfigError(
-                f"'modes' must be a nonempty subset of {', '.join(MODES)}; got {self.modes!r}",
+                f"'modes' must be distinct names from {', '.join(MODES)}; got {self.modes!r}",
                 field="modes",
             )
         if self.replications is not None and self.replications < 1:

@@ -35,6 +35,7 @@ __all__ = [
     "variance_estimate",
     "confidence_interval",
     "run_pipeline",
+    "run_block",
     "coverage_experiment",
 ]
 
@@ -267,6 +268,36 @@ def run_pipeline(
     )
 
 
+def map_threads(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, on ``threads`` workers when there is
+    more than one of each; results keep the order of ``items``."""
+    items = list(items)
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def run_block(
+    payoff: Payoff, drift: DriftMap | None, stream: RngStream, n: int, modes, *, level: float
+) -> list[EstimateReport | TiltmcError]:
+    """Draw one n-row block on ``stream``, evaluate ``payoff`` on it once, and
+    run every mode on that table. Returns one outcome per mode, in order: its
+    report or the :class:`TiltmcError` it raised; an error from the payoff is
+    every mode's outcome."""
+    table = _outcome(precompute_weights, draw_samples(stream, n, payoff.dim), payoff)
+    if isinstance(table, TiltmcError):
+        return [table] * len(modes)
+    return [_outcome(run_pipeline, table, mode, drift, level=level) for mode in modes]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except TiltmcError as exc:
+        return exc.with_traceback(None)  # its frames would keep the block alive
+
+
 @dataclass(frozen=True)
 class CoverageResult:
     """Outcome of repeated interval construction against a reference value."""
@@ -279,6 +310,15 @@ class CoverageResult:
     def __post_init__(self):
         if not 0 <= self.hits <= self.replications:
             raise ValueError("hits must lie in [0, replications]")
+
+    @classmethod
+    def tally(cls, outcomes, reference: float) -> CoverageResult:
+        """One mode's :func:`run_block` outcomes, one per replication: errors
+        fail, and reports whose interval holds ``reference`` hit."""
+        reports = [o for o in outcomes if not isinstance(o, TiltmcError)]
+        hits = sum(1 for r in reports if r.ci_low <= reference <= r.ci_high)
+        failures = len(outcomes) - len(reports)
+        return cls(len(outcomes), hits, failures, hits / len(reports) if reports else float("nan"))
 
 
 def coverage_experiment(
@@ -295,7 +335,7 @@ def coverage_experiment(
 ) -> CoverageResult:
     """Fraction of replicated confidence intervals containing ``reference``.
 
-    Replication r builds one weight table on stream_id = r, so runs are
+    Replication r is :func:`run_block` on stream_id = r, so runs are
     independent and individually reproducible. Replications that fail with a
     :class:`TiltmcError` (e.g. a degenerate payoff on a small block) are
     counted and excluded from the empirical level; other exceptions propagate.
@@ -308,28 +348,9 @@ def coverage_experiment(
         raise DimensionMismatch(
             f"drift map has dimension {drift.d} but the payoff has dimension {payoff.dim}"
         )
-
-    def one(rep: int) -> bool | None:
-        block = draw_samples(RngStream(seed, rep), n, payoff.dim)
-        try:
-            report = run_pipeline(precompute_weights(block, payoff), mode, drift, level=level)
-        except TiltmcError:
-            return None
-        return bool(report.ci_low <= reference <= report.ci_high)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, range(replications)))
-    else:
-        outcomes = [one(rep) for rep in range(replications)]
-
-    failures = sum(1 for o in outcomes if o is None)
-    hits = sum(1 for o in outcomes if o)
-    effective = replications - failures
-    empirical = hits / effective if effective else float("nan")
-    return CoverageResult(
-        replications=replications,
-        hits=hits,
-        failures=failures,
-        empirical_level=empirical,
+    outcomes = map_threads(
+        lambda rep: run_block(payoff, drift, RngStream(seed, rep), n, (mode,), level=level)[0],
+        range(replications),
+        threads,
     )
+    return CoverageResult.tally(outcomes, reference)

@@ -29,7 +29,7 @@ __all__ = [
 # Default storage budget for one block: 2**27 float64 entries (1 GiB).
 DEFAULT_SAMPLE_BUDGET = 1 << 27
 
-# Blocks are filled in fixed-size flat chunks, which bounds the size of the
+# Draws are filled in fixed-size flat chunks, which bounds the size of the
 # one temporary (raw words, turned into uniforms in place) to one chunk.
 _FILL_CHUNK = 1 << 16
 
@@ -76,19 +76,16 @@ def normal_draws(stream: RngStream, count: int, offset: int = 0) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be nonnegative")
     out = np.empty(count, dtype=np.float64)
-    _fill_normals(stream, offset, out)
+    for lo in range(0, count, _FILL_CHUNK):
+        chunk = out[lo : lo + _FILL_CHUNK]
+        raw = _raw_words(stream, offset + lo, chunk.size)
+        # 53-bit uniform shifted to the open interval (0, 1); ndtri is then finite.
+        raw >>= _U64(11)
+        u = raw.view(np.float64)
+        np.add(raw, 0.5, out=u)
+        u *= _TWO_M53
+        ndtri(u, out=chunk)
     return out
-
-
-def _fill_normals(stream: RngStream, offset: int, out: np.ndarray) -> None:
-    """Write the normals at flat indices ``offset .. offset+out.size-1`` into ``out``."""
-    raw = _raw_words(stream, offset, out.size)
-    # 53-bit uniform shifted to the open interval (0, 1); ndtri is then finite.
-    raw >>= _U64(11)
-    u = raw.view(np.float64)
-    np.add(raw, 0.5, out=u)
-    u *= _TWO_M53
-    ndtri(u, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +138,7 @@ def draw_samples(stream: RngStream, n: int, d: int) -> SampleBlock:
             f"block of {n}x{d} = {total} doubles exceeds budget of "
             f"{DEFAULT_SAMPLE_BUDGET} elements"
         )
-    flat = np.empty(total, dtype=np.float64)
-    for lo in range(0, total, _FILL_CHUNK):
-        _fill_normals(stream, lo, flat[lo : lo + _FILL_CHUNK])
-    return SampleBlock(values=flat.reshape(n, d), provenance=stream)
+    return SampleBlock(values=normal_draws(stream, total).reshape(n, d), provenance=stream)
 
 
 def cholesky_correlation(n_assets: int, rho: float) -> np.ndarray:

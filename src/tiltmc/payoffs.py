@@ -193,6 +193,8 @@ class BlackScholesMulti:
     chol: np.ndarray = field(init=False, repr=False)  # lower factor of the correlation
 
     def __post_init__(self):
+        for name in ("spot", "vol"):  # copies, so the caller's arrays stay writable
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
         if np.any(self.spot <= 0):
             raise ValueError("spots must be positive")
         if np.any(self.vol <= 0):
@@ -255,8 +257,7 @@ class BlackScholesMulti:
     @classmethod
     def create(cls, n_assets, times, spot, vol, rate, rho=0.0) -> "BlackScholesMulti":
         """Build from possibly scalar spot/vol, broadcast across assets."""
-        spot = np.broadcast_to(np.asarray(spot, dtype=np.float64), (n_assets,)).copy()
-        vol = np.broadcast_to(np.asarray(vol, dtype=np.float64), (n_assets,)).copy()
+        spot, vol = np.broadcast_to(spot, (n_assets,)), np.broadcast_to(vol, (n_assets,))
         return cls(spot=spot, vol=vol, rate=float(rate), rho=float(rho), times=times)
 
 

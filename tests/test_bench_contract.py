@@ -37,3 +37,26 @@ def test_workload_runs_through_public_api(name, n):
     assert all(report.n == n for _, _, report, _ in ops)
     assert text.strip()
     assert (coverage is not None) == (name == "digital-coverage")
+
+
+def test_runs_resolve_layer_functions_on_the_estimate_module(monkeypatch):
+    counts = dict.fromkeys(("draw_samples", "precompute_weights", "run_pipeline"), 0)
+    for name in counts:
+
+        def counted(*args, _inner=getattr(tiltmc.estimate, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(tiltmc.estimate, name, counted)
+
+    rows = tiltmc.config.builtin_experiment("table4", n=500)  # 3 rows x crude, ris, rris
+    results = tiltmc.cli.run_experiment("table4", rows)
+    assert all(r.report is not None for r in results)
+    assert counts == {"draw_samples": 3, "precompute_weights": 3, "run_pipeline": 9}
+
+    (row,) = tiltmc.config.builtin_experiment("digital-coverage", n=500)
+    counts.update(dict.fromkeys(counts, 0))
+    tiltmc.estimate.coverage_experiment(
+        row.spec.payoff(), "ris", 500, 7, 0.1, replications=4, drift=row.spec.drift()
+    )
+    assert counts == {"draw_samples": 4, "precompute_weights": 4, "run_pipeline": 4}

@@ -8,7 +8,9 @@ Claims:
     - exit codes: 0 success, 2 config error, 3 numerical failure
     - environment variables override seed and thread count
     - coverage subcommand reports hits against the closed-form reference for
-      every listed mode
+      every listed mode; all modes run on each replication's one block, and a
+      failing mode counts as a failure of that mode only
+    - a repeated mode is a config error on 'modes' in every command
     - a parameter row evaluates the payoff once on its block, shared by all
       modes; each tilted mode adds one pass and two_stage one more on its
       own block
@@ -20,7 +22,9 @@ import io
 import numpy as np
 import pytest
 
+import tiltmc.estimate
 import tiltmc.payoffs
+from tiltmc import DegeneratePayoff, RngStream
 from tiltmc.cli import emit_report, main, reference_price, run_experiment
 from tiltmc.config import builtin_experiment, parse_config
 from tiltmc.oracles import bs_call_price, bs_digital_price
@@ -193,11 +197,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["price", "experiment", "coverage"])
     def test_bad_mode_override_on_config_file(self, tmp_path, capsys, command):
         # The override is checked before anything runs: no crude report first.
-        argv = [command, _digital_config(tmp_path), "--modes", "crude", "bogus", "--n", "100"]
-        assert main(argv + ["--format", "csv"]) == 2
-        captured = capsys.readouterr()
-        assert "field 'modes'" in captured.err
-        assert captured.out == ""
+        for modes in (["crude", "bogus"], ["crude", "crude"]):  # unknown, repeated
+            argv = [command, _digital_config(tmp_path), "--modes", *modes, "--n", "100"]
+            assert main(argv + ["--format", "csv"]) == 2
+            captured = capsys.readouterr()
+            assert "field 'modes'" in captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["price", "experiment", "coverage"])
     @pytest.mark.parametrize(
@@ -317,6 +322,37 @@ class TestCoverage:
         text = capsys.readouterr().out
         assert text.count("coverage of digital-coverage") == 2
         assert "mode=crude" in text and "mode=ris" in text
+
+    def test_modes_share_each_replications_block(self, monkeypatch, capsys):
+        # One draw per replication for all three modes, plus two_stage's
+        # tuning block: 2R draws, where one coverage run per mode made 4R.
+        drawn = []
+        inner = tiltmc.estimate.draw_samples
+        monkeypatch.setattr(
+            tiltmc.estimate, "draw_samples", lambda *args: drawn.append(args) or inner(*args)
+        )
+        argv = ["coverage", "digital-coverage", "--modes", "crude", "ris", "two_stage",
+                "--replications", "7", "--n", "500", "--format", "csv"]
+        assert main(argv) == 0
+        assert len(drawn) == 2 * 7
+        streams = sorted(args[0].stream_id for args in drawn)
+        assert streams == [*range(7), *(r ^ 2**63 for r in range(7))]
+
+    def test_failing_mode_counts_for_that_mode_only(self, tmp_path, capsys):
+        # The payoff vanishes on every small block: ris cannot tune a tilt,
+        # while crude reports a zero price with a zero-width interval.
+        path = tmp_path / "doomed.cfg"
+        path.write_text(DIGITAL_CFG.replace("level = 140", "level = 1e9"))
+        argv = ["coverage", str(path), "--replications", "6", "--n", "50", "--format", "csv"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["mode"], r["failures"]) for r in rows] == [("crude", "0"), ("ris", "6")]
+        assert rows[1]["empirical_level"] == "nan"
+        spec = parse_config(str(path))
+        crude, ris = tiltmc.estimate.run_block(
+            spec.payoff(), spec.drift(), RngStream(spec.seed, 0), 50, ("crude", "ris"), level=0.95
+        )
+        assert crude.price == 0.0 and isinstance(ris, DegeneratePayoff)
 
 
 class TestReferencePrice:

@@ -8,8 +8,8 @@ Claims:
     - a 5-asset 24-step barrier-basket config derives d = 120, d' = 5
     - builtin grids expose their benchmark parameter rows
     - every spec, overridden or builtin, rejects a block over the sample
-      budget on field 'n', and a bad seed, level, mode list or
-      replication count on its own field
+      budget on field 'n', and a bad seed, level, mode list (empty, unknown
+      or repeated mode) or replication count on its own field
     - a vol table entry that is not finite, or a vol floor above the cap,
       fails at parse time and names the field
 """
@@ -118,10 +118,10 @@ class TestParsing:
         assert err.value.field == "rho"
 
     def test_bad_mode_rejected(self, tmp_path):
-        text = MINIMAL_DIGITAL + "modes = crude sobol\n"
-        with pytest.raises(ConfigError) as err:
-            parse_config(_write(tmp_path, text))
-        assert err.value.field == "modes"
+        for modes in ("crude sobol", "ris ris"):  # unknown, repeated
+            with pytest.raises(ConfigError) as err:
+                parse_config(_write(tmp_path, MINIMAL_DIGITAL + f"modes = {modes}\n"))
+            assert err.value.field == "modes"
 
     def test_duplicate_key_rejected(self, tmp_path):
         text = MINIMAL_DIGITAL + "n = 2000\n"
@@ -365,8 +365,12 @@ class TestBuiltins:
             (lambda: builtin_experiment("table1", modes=()), "modes"),
             (lambda: builtin_experiment("table3", seed=-1), "seed"),
             (lambda: with_overrides(builtin_experiment("table1")[0].spec, modes=()), "modes"),
+            (lambda: builtin_experiment("table3", modes=("ris", "ris")), "modes"),
         ],
-        ids=["builtin-no-modes", "builtin-negative-seed", "override-no-modes"],
+        ids=[
+            "builtin-no-modes", "builtin-negative-seed", "override-no-modes",
+            "builtin-repeated-mode",
+        ],
     )
     def test_library_overrides_follow_the_spec_rules(self, build, field):
         with pytest.raises(ConfigError) as err:

@@ -2,12 +2,14 @@
 
 Claims:
     - draws are a pure function of (seed, stream_id, index): bit-identical
-      re-draws, chunk-independent fills, stream separation
+      re-draws, chunk-independent fills (also at an offset that straddles
+      the block's fill chunks), stream separation
     - marginals are standard normal (moment bounds and column-wise KS)
     - equicorrelation Cholesky is exact and rejects inadmissible rho
     - the lognormal model's map from normals to Brownian values realizes
       the discrete Brownian covariance exactly (dense composition) and
-      empirically (sampled covariance)
+      empirically (sampled covariance); the model keeps read-only copies of
+      its arrays and leaves the caller's writable
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ from tiltmc import (
     draw_samples,
     normal_draws,
 )
-from tiltmc.gaussian import DEFAULT_SAMPLE_BUDGET
+from tiltmc.gaussian import _FILL_CHUNK, DEFAULT_SAMPLE_BUDGET
 
 
 class TestStreams:
@@ -60,6 +62,13 @@ class TestStreams:
         block = draw_samples(RngStream(11, 1), 50_000, 4)
         flat = normal_draws(RngStream(11, 1), 200_000)
         assert (block.values == flat.reshape(50_000, 4)).all()
+
+    def test_offset_draws_across_fill_chunks_match_the_block(self):
+        # An unaligned offset: the request's chunks straddle the block's.
+        block = draw_samples(RngStream(11, 2), 40_000, 5)
+        offset, count = _FILL_CHUNK - 12_345, 2 * _FILL_CHUNK + 7
+        draws = normal_draws(RngStream(11, 2), count, offset=offset)
+        assert np.array_equal(draws, block.values.reshape(-1)[offset : offset + count])
 
     def test_regenerate_is_bit_identical(self):
         block = draw_samples(RngStream(21, 3), 64, 5)
@@ -210,3 +219,12 @@ class TestPathMap:
         if isinstance(times, np.ndarray):  # the model's grid is its own copy
             times[0] = 2.0
             assert model.times[0] == 0.5
+
+    def test_direct_construction_leaves_the_callers_arrays_writable(self):
+        spot, vol = np.array([100, 90]), np.array([0.2, 0.3])
+        model = BlackScholesMulti(spot=spot, vol=vol, rate=0.05, rho=0.0, times=[1.0])
+        assert spot.flags.writeable and vol.flags.writeable
+        assert not model.spot.flags.writeable and not model.vol.flags.writeable
+        assert model.spot.dtype == np.float64
+        spot[0], vol[0] = 1, 0.5
+        assert model.spot[0] == 100.0 and model.vol[0] == 0.2
