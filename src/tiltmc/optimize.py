@@ -14,9 +14,10 @@ by A*A independently of the weights, so the linear systems stay well
 conditioned no matter how small the payoff is.
 
 All softmax-type quantities are computed from max-shifted exponents; zero
-weights are excluded from the logs. Reductions use numpy's fixed pairwise
-summation over the sample index and never depend on worker threads, so
-optimizer output is bit-reproducible for a given sample block.
+weights are excluded from the logs. Sums over the sample index run over
+fixed chunks of the nonzero-weight rows, sized by d' alone, and the
+per-chunk sums are added in row order. They never depend on worker
+threads, so optimizer output is bit-reproducible for a given sample block.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     SingularHessian,
 )
 from .gaussian import SampleBlock
-from .payoffs import Payoff
+from .payoffs import Payoff, chunk_rows
 
 __all__ = [
     "WeightTable",
@@ -52,6 +53,12 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-40
+
+# Optimizer passes gather A*G_i in chunks of ``chunk_rows(d', _OPTIMIZER_CHUNK)``
+# rows, fixed by d' alone. They are larger than the payoff's chunks because
+# each adds a d' x d' product c.T @ c, which BLAS runs fastest on a few
+# hundred to a few thousand rows.
+_OPTIMIZER_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +93,12 @@ def precompute_weights(samples: SampleBlock, payoff: Payoff) -> WeightTable:
 class _Objective:
     """u_n and its derivatives for a fixed (weights, drift) pair.
 
-    Caches log w_i and the reduced projections A*G_i of the nonzero-weight
-    samples, so each Newton iteration costs O(n d'^2) instead of O(n d d').
+    Holds log w_i and the indices ``rows`` of the nonzero-weight samples,
+    and ``source`` = A*G for the whole block; for A = I that is the block
+    itself, so nothing is copied. Every pass gathers the rows A*G_i of one
+    fixed chunk of ``rows`` at a time (see ``_OPTIMIZER_CHUNK``), so it
+    holds at most one chunk of them beyond O(n + d'^2), and an iteration
+    costs O(n d'^2), not O(n d d').
     Raises NonFiniteObjective if some w_i = f(G_i)^2 is not finite, and
     DegeneratePayoff if every w_i is zero (u_n then has no minimizer).
     """
@@ -96,37 +107,62 @@ class _Objective:
         weights = table.values * table.values
         if not np.isfinite(weights).all():
             raise NonFiniteObjective("payoff produced non-finite values on the sample block")
-        nz = weights > 0.0
-        if not nz.any():
+        rows = np.flatnonzero(weights > 0.0)
+        if rows.size == 0:
             raise DegeneratePayoff(
                 f"payoff vanished on all {table.n} samples; cannot tune a tilt on it"
             )
         self.n = table.n
-        self.log_w = np.log(weights[nz])
-        self.reduced = drift.apply_adjoint(table.samples.values[nz])
+        self.rows = rows
+        self.log_w = np.log(weights[rows])
+        self.source = drift.apply_adjoint(table.samples.values)
         self.gram = drift.gram()
         self.d_reduced = drift.d_reduced
+        self.step = chunk_rows(self.d_reduced, _OPTIMIZER_CHUNK)
+
+    def chunks(self):
+        """(slice of ``rows``, a fresh copy of those rows of A*G), in row order."""
+        for lo in range(0, self.rows.size, self.step):
+            part = slice(lo, lo + self.step)
+            yield part, self.source[self.rows[part]]
+
+    def logits(self, v: np.ndarray) -> np.ndarray:
+        """log w_i - A*G_i . v over the nonzero rows."""
+        return self.log_w - np.concatenate([chunk @ v for _, chunk in self.chunks()])
+
+    def moments(self, weights: np.ndarray, center=None):
+        """sum_i weights_i x_i and sum_i weights_i x_i x_i^T over the nonzero
+        rows, where x_i = A*G_i - center and ``weights`` is aligned with
+        ``rows``. Each chunk is shifted and scaled in place, and the chunk
+        sums are added in row order."""
+        d = self.d_reduced
+        first, second = np.zeros(d), np.zeros((d, d))
+        for part, chunk in self.chunks():
+            if center is not None:
+                chunk -= center
+            first += weights[part] @ chunk
+            chunk *= np.sqrt(weights[part])[:, None]
+            second += chunk.T @ chunk  # numpy runs X.T @ X as one syrk
+        return first, second
 
     def _softmax(self, v: np.ndarray):
-        scores = self.reduced @ v
-        logits = self.log_w - scores
+        logits = self.logits(v)
         shift = logits.max()
         weights = np.exp(logits - shift)
         total = weights.sum()
-        return logits, shift, weights / total, total
+        return shift, weights / total, total
 
     def value(self, v: np.ndarray) -> float:
-        _, shift, _, total = self._softmax(v)
+        shift, _, total = self._softmax(v)
         u = 0.5 * v @ (self.gram @ v) + shift + np.log(total)
         if not np.isfinite(u):
             raise NonFiniteObjective(f"objective is not finite at v={v!r}")
         return float(u)
 
     def value_grad_hess(self, v: np.ndarray):
-        _, shift, probs, total = self._softmax(v)
+        shift, probs, total = self._softmax(v)
         u = 0.5 * v @ (self.gram @ v) + shift + np.log(total)
-        mean = probs @ self.reduced
-        second = self.reduced.T @ (self.reduced * probs[:, None])
+        mean, second = self.moments(probs)
         grad = self.gram @ v - mean
         hess = self.gram + second - np.outer(mean, mean)
         if not (np.isfinite(u) and np.isfinite(grad).all() and np.isfinite(hess).all()):
@@ -272,17 +308,16 @@ def estimate_theta_covariance(table: WeightTable, drift: DriftMap, theta) -> np.
     """
     theta = drift._check_reduced(theta)
     obj = _Objective(table, drift)
-    n, gram, reduced = obj.n, obj.gram, obj.reduced
-    log_terms = obj.log_w - reduced @ theta + 0.5 * float(theta @ (gram @ theta))
-    terms = np.exp(log_terms)
+    n, gram = obj.n, obj.gram
+    center = gram @ theta  # A*A theta; the score is -(A*G_i - center) terms_i
+    terms = np.exp(obj.logits(theta) + 0.5 * float(theta @ center))
     if not np.isfinite(terms).all():
         raise NonFiniteObjective("variance-proxy terms overflowed in covariance plug-in")
-    offsets = (gram @ theta)[None, :] - reduced  # rows A*(A theta - G_i)
-    weighted = offsets * terms[:, None]
-    hessian = (terms.sum() / n) * gram + (offsets.T @ weighted) / n
-    score_mean = weighted.sum(axis=0) / n
-    score_sq = (weighted.T @ weighted) / n
-    score_cov = score_sq - np.outer(score_mean, score_mean)
+    neg_score_sum, cross = obj.moments(terms, center)
+    _, score_sq = obj.moments(terms * terms, center)
+    hessian = (terms.sum() / n) * gram + cross / n
+    score_mean = -neg_score_sum / n
+    score_cov = score_sq / n - np.outer(score_mean, score_mean)
     solved = np.linalg.solve(hessian, score_cov)
     gamma = np.linalg.solve(hessian, solved.T).T
     return 0.5 * (gamma + gamma.T)

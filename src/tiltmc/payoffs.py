@@ -64,13 +64,13 @@ __all__ = [
 _ROW_ALIGN = 64
 
 
-def chunk_rows(d: int) -> int:
+def chunk_rows(d: int, elements: int = _FILL_CHUNK) -> int:
     """Rows per evaluation chunk at dimension d.
 
-    About ``_FILL_CHUNK`` elements (the sample fill chunk), rounded down to
-    a multiple of 64 rows, and at least 64 rows.
+    About ``elements`` elements (by default the sample fill chunk), rounded
+    down to a multiple of 64 rows, and at least 64 rows.
     """
-    return max(_ROW_ALIGN, _FILL_CHUNK // d // _ROW_ALIGN * _ROW_ALIGN)
+    return max(_ROW_ALIGN, elements // d // _ROW_ALIGN * _ROW_ALIGN)
 
 
 # --- local volatility functions ---------------------------------------------
@@ -237,9 +237,12 @@ class BlackScholesMulti:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected last dimension {self.dim}, got {x.shape[-1]}")
-        w = x.reshape(x.shape[:-1] + (self.n_steps, self.n_assets)) @ self.chol.T
+        x = x.reshape(x.shape[:-1] + (self.n_steps, self.n_assets))
+        # One asset needs no per-row 1 x 1 matmul and one date no cumsum;
+        # both shortcuts give the same bits as the general path.
+        w = x * self.chol[0, 0] if self.n_assets == 1 else x @ self.chol.T
         w *= np.sqrt(np.diff(self.times, prepend=0.0))[:, None]
-        return np.cumsum(w, axis=-2, out=w)
+        return w if self.n_steps == 1 else np.cumsum(w, axis=-2, out=w)
 
     def terminal(self, w: np.ndarray) -> np.ndarray:
         """Asset values at maturity, shape (..., I): ``paths(x)[..., -1, :]`` bit for bit."""

@@ -15,9 +15,14 @@ Claims:
       gradient, Hessian and minimizer unchanged
     - the sandwich covariance reproduces the two Gaussian-moment values
       that have closed forms
+    - the optimizer's passes over fixed chunks of the nonzero rows match the
+      dense whole-array formulas to 1e-12 relative, and hold no copy of the
+      nonzero rows: memory above the block is a few chunks plus O(n + d'^2)
 """
 
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +50,9 @@ from tiltmc import (
     path_drift_multi,
     precompute_weights,
 )
+from tiltmc.config import parse_config
+from tiltmc.optimize import _OPTIMIZER_CHUNK, _Objective
+from tiltmc.payoffs import chunk_rows
 
 EXP_PAYOFF = Payoff.from_function(1, lambda x: np.exp(0.2 * x[..., 0]))
 ONES_PAYOFF_1D = Payoff.from_function(1, lambda x: np.ones(x.shape[:-1]))
@@ -359,3 +367,63 @@ class TestThetaCovariance:
             assert gamma.shape == (drift.d_reduced, drift.d_reduced)
             assert np.abs(gamma - gamma.T).max() <= 1e-10
             np.linalg.cholesky(gamma + 1e-12 * np.eye(gamma.shape[0]))
+
+
+class TestChunkedPasses:
+    def test_chunked_moments_match_dense_formulas(self):
+        # A non-identity map, and a nonzero count spanning several chunks
+        # that is not a multiple of the chunk.
+        rng = np.random.default_rng(77)
+        d, d_red = 300, 256
+        drift = dense_map(rng.standard_normal((d, d_red)) / np.sqrt(d) + np.eye(d, d_red))
+        table = _table(
+            rng.standard_normal((4000, d)),
+            weights_of=lambda x: np.maximum(np.sin(x[:, :3].sum(axis=-1)) + 0.4, 0.0),
+        )
+        step = chunk_rows(d_red, _OPTIMIZER_CHUNK)
+        assert table.nonzero > 2 * step and table.nonzero % step != 0
+        v = rng.uniform(-0.05, 0.05, d_red)
+
+        nz = table.values != 0.0
+        reduced = drift.apply_adjoint(table.samples.values[nz])
+        gram = drift.gram()
+        logits = 2.0 * np.log(np.abs(table.values[nz])) - reduced @ v
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        mean = p @ reduced
+        hess = gram + reduced.T @ (reduced * p[:, None]) - np.outer(mean, mean)
+        grad, got_hess = eval_un_derivatives(table, drift, v)
+        got_mean = gram @ v - grad
+        assert np.abs(got_mean - mean).max() <= 1e-12 * np.abs(mean).max()
+        assert np.abs(got_hess - hess).max() <= 1e-12 * np.abs(hess).max()
+
+        terms = np.exp(logits + 0.5 * float(v @ (gram @ v)))
+        offsets = (gram @ v)[None, :] - reduced
+        weighted = offsets * terms[:, None]
+        n = table.n
+        h = (terms.sum() / n) * gram + (offsets.T @ weighted) / n
+        score_mean = weighted.sum(axis=0) / n
+        s = (weighted.T @ weighted) / n - np.outer(score_mean, score_mean)
+        gamma = np.linalg.solve(h, np.linalg.solve(h, s).T).T
+        gamma = 0.5 * (gamma + gamma.T)
+        got = estimate_theta_covariance(table, drift, v)
+        assert np.abs(got - gamma).max() <= 1e-10 * np.abs(gamma).max()
+
+    def test_memory_above_block_is_bounded_by_optimizer_chunks(self):
+        # The basket-ris workload's block (d = d' = 500, n = 20k, 80 MB, most
+        # rows nonzero): copying the nonzero rows, or forming an n_nz x d'
+        # product, would each take most of the block.
+        cfg = Path(__file__).resolve().parent.parent / "perfbench" / "basket_ris.cfg"
+        payoff = parse_config(cfg).payoff()
+        n, d = 20_000, payoff.dim
+        table = precompute_weights(draw_samples(RngStream(5), n, d), payoff)
+        chunk_bytes = chunk_rows(d, _OPTIMIZER_CHUNK) * d * 8
+        bound = 4 * chunk_bytes + 8 * n * 8 + 4 * d * d * 8
+        assert bound < table.samples.values.nbytes / 3
+        tracemalloc.start()
+        try:
+            _Objective(table, identity_map(d)).value_grad_hess(np.zeros(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound

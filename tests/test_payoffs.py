@@ -14,7 +14,8 @@ Claims:
       price grid's last date bitwise, and barrier claims, monitored against
       thresholds on W, equal their price-space definitions bitwise, also on
       paths placed just either side of a barrier; Euler barrier claims
-      compare prices directly
+      compare prices directly; the one-asset and one-date shortcuts of
+      ``states`` equal the general matmul and cumsum bitwise
     - batches are evaluated over 64-row-aligned row chunks: bit-identical to
       one whole-array call for every claim (payoff and tilted pass), no
       non-finite row is skipped, and the extra memory is bounded by a chunk,
@@ -244,6 +245,24 @@ class TestBrownianReads:
         x = draw_samples(RngStream(8), 700, model.dim).values
         assert np.array_equal(model.terminal(model.states(x)), model.paths(x)[..., -1, :])
         assert np.array_equal(model.terminal(model.states(x[5])), model.paths(x[5])[-1, :])
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 24])
+    @pytest.mark.parametrize("n_assets", [1, 2, 5, 40])
+    def test_states_shortcuts_match_matmul_and_cumsum(self, n_assets, n_steps):
+        # One asset skips the per-row 1 x 1 matmul and one date the cumsum;
+        # neither may change a bit of the general path.
+        model = BlackScholesMulti.create(n_assets, np.linspace(0.25, 2.0, n_steps), 50.0, 0.2, 0.05, 0.3)
+        rng = np.random.default_rng(10 * n_assets + n_steps)
+        dt = np.sqrt(np.diff(model.times, prepend=0.0))[:, None]
+
+        def reference(x):
+            w = x.reshape(x.shape[:-1] + (n_steps, n_assets)) @ model.chol.T
+            return np.cumsum(w * dt, axis=-2)
+
+        for x in [rng.standard_normal((rows, model.dim)) for rows in (1, 63, 64, 517)] + [
+            rng.standard_normal(model.dim)
+        ]:
+            assert np.array_equal(model.states(x), reference(x)), x.shape
 
     @pytest.mark.parametrize("knock, barrier", [("down-out", 85.0), ("up-out", 125.0)])
     def test_local_vol_barrier_call_prices_on_euler_prices(self, knock, barrier):
