@@ -462,10 +462,8 @@ class Payoff:
             if not np.isfinite(chunk).all():
                 raise NonFiniteInput("payoff evaluated at a non-finite point")
             parts.append(np.asarray(self.fn(chunk), dtype=np.float64))
-        # Joining the parts at the end, rather than filling an output
-        # allocated up front, leaves no freed chunk temporaries above a live
-        # array on the heap, which the allocator would return to the system
-        # and fault back in on every call.
+        # Filling an output allocated up front measured no faster than
+        # joining the parts at the end, and held slightly more memory.
         values = np.concatenate(parts) if parts else np.empty(0)
         return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
 

@@ -20,7 +20,15 @@ Claims:
       the price at the nominal rate on a d = 50 basket
     - a coverage run with a drift map that does not fit the payoff is a
       caller error, raised before any replication is drawn
+    - under glibc, a repeated block reuses freed heap memory instead of
+      faulting it back in, on the main thread and on worker threads; the
+      allocator policy is set once and is skipped without glibc
 """
+
+import ctypes
+import platform
+import resource
+import threading
 
 import numpy as np
 import pytest
@@ -53,6 +61,8 @@ from tiltmc import (
     variance_estimate,
 )
 from tiltmc.cli import _REFERENCE_STREAM_ID
+from tiltmc.config import builtin_experiment
+from tiltmc.estimate import run_block
 
 EXP_PAYOFF = Payoff.from_function(1, lambda x: np.exp(0.2 * x[..., 0]))
 
@@ -371,3 +381,60 @@ class TestCoverage:
             payoff, "ris", 500, 9, 0.7978845608, replications=40, threads=4
         )
         assert serial == threaded
+
+
+class TestBlockMemory:
+    WARM_UP, MEASURED = 3, 20
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator policy is glibc's")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_repeated_blocks_do_not_fault_memory_back_in(self, threads):
+        # The digital-coverage payoff at its n = 100k: each block allocates
+        # 4-5 MB, which glibc would otherwise return to the kernel when freed.
+        spec = builtin_experiment("digital-coverage")[0].spec
+        payoff, drift = spec.payoff(), spec.drift()
+
+        def faults(rep):
+            before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+            run_block(payoff, drift, RngStream(spec.seed, rep), spec.n, ("ris",), level=spec.level)
+            return threading.get_ident(), resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+
+        blocks = tiltmc.estimate.map_threads(
+            faults, range(threads * self.WARM_UP + self.MEASURED), threads
+        )
+        seen, measured = {}, []
+        for worker, count in blocks:  # each worker's first blocks are its warm-up
+            seen[worker] = seen.get(worker, 0) + 1
+            if seen[worker] > self.WARM_UP:
+                measured.append(count)
+        assert len(measured) >= self.MEASURED
+        assert np.mean(measured) < 20
+
+    @pytest.fixture
+    def fresh_policy(self):
+        tiltmc.estimate._keep_block_memory_mapped.cache_clear()
+        yield
+        tiltmc.estimate._keep_block_memory_mapped.cache_clear()
+
+    def _block(self):
+        return run_block(EXP_PAYOFF, None, RngStream(3, 0), 200, ("crude", "ris"), level=0.95)
+
+    def test_policy_is_skipped_without_mallopt(self, monkeypatch, fresh_policy):
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert [report.mode for report in self._block()] == ["crude", "ris"]
+
+    def test_policy_is_set_once(self, monkeypatch, fresh_policy):
+        calls = []
+
+        class FakeLibc:
+            def __init__(self, name):
+                assert name is None
+                self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+        monkeypatch.setattr(ctypes, "CDLL", FakeLibc)
+        self._block()
+        self._block()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
