@@ -67,8 +67,6 @@ from .oracles import (
     quadrature_theta_star,
 )
 from .payoffs import (
-    BarrierBasketCall,
-    BarrierCall,
     Basket,
     BestOf,
     BlackScholesMulti,
@@ -78,8 +76,6 @@ from .payoffs import (
     Payoff,
     PowerLawVol,
     TabulatedVol,
-    VanillaCall,
-    VanillaPut,
     build_payoff,
 )
 

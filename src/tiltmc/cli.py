@@ -50,7 +50,7 @@ from .estimate import (
 )
 from .gaussian import RngStream, normal_draws
 from .oracles import bs_call_price, bs_digital_price, bs_put_price
-from .payoffs import BlackScholesMulti, Digital, VanillaCall, VanillaPut
+from .payoffs import Basket, BlackScholesMulti, Digital
 
 __all__ = ["main", "run_experiment", "emit_report", "reference_price"]
 
@@ -152,19 +152,25 @@ def emit_report(rows: list[ResultRow], fmt: str, *, timings: bool = False) -> st
 
 def reference_price(spec: ExperimentSpec, *, n_ref: int = 2_000_000) -> float:
     """Reference value for coverage runs: closed form when available,
-    otherwise an untilted estimate on a reserved high-n stream."""
+    otherwise an untilted estimate on a reserved high-n stream.
+
+    The closed forms cover one lognormal asset: an upper digital, and a
+    basket without barriers whose weight w and strike K have w K > 0,
+    which is |w| times the call (w > 0) or put (w < 0) struck at K / w.
+    """
     model, claim = spec.model, spec.claim
+    payoff = spec.payoff()  # checks the claim against the model first
     if isinstance(model, BlackScholesMulti) and model.n_assets == 1:
         spot = float(model.spot[0])
         vol = float(model.vol[0])
         rate, maturity = model.rate, model.maturity
         if isinstance(claim, Digital) and claim.above:
             return bs_digital_price(spot, claim.level, rate, vol, maturity)
-        if isinstance(claim, VanillaCall):
-            return bs_call_price(spot, claim.strike, rate, vol, maturity)
-        if isinstance(claim, VanillaPut):
-            return bs_put_price(spot, claim.strike, rate, vol, maturity)
-    payoff = spec.payoff()
+        if isinstance(claim, Basket) and claim.barriers is None:
+            w = float(np.ravel(claim.weights)[0])
+            if w * claim.strike > 0:
+                price = bs_call_price if w > 0 else bs_put_price
+                return abs(w) * price(spot, claim.strike / w, rate, vol, maturity)
     stream = RngStream(spec.seed, _REFERENCE_STREAM_ID)
     rows_per_draw = max(1, 1_000_000 // payoff.dim)
     total = 0.0

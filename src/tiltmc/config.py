@@ -19,8 +19,6 @@ from .errors import ConfigError, IncompatibleClaim
 from .estimate import MODES
 from .gaussian import DEFAULT_SAMPLE_BUDGET, RngStream
 from .payoffs import (
-    BarrierBasketCall,
-    BarrierCall,
     Basket,
     BestOf,
     BlackScholesMulti,
@@ -30,8 +28,6 @@ from .payoffs import (
     Payoff,
     PowerLawVol,
     TabulatedVol,
-    VanillaCall,
-    VanillaPut,
     build_payoff,
 )
 
@@ -361,38 +357,30 @@ def _build_claim(section: _Section, model):
         ),
     )
     n_assets = model.n_assets
-    if kind == "basket":
-        claim = Basket(
-            weights=_broadcast(fields.vector("weights", required=True), n_assets, "weights"),
-            strike=fields.number("strike", required=True),
-        )
-    elif kind == "digital":
+    if kind == "digital":
         claim = Digital(
             level=fields.number("level", required=True),
             above=fields.string("direction", default="above", choices=("above", "below"))
             == "above",
         )
+    elif kind in ("vanilla_call", "vanilla_put"):
+        sign = 1.0 if kind == "vanilla_call" else -1.0  # a put is (-S - (-K))_+
+        claim = Basket(np.full(1, sign), sign * fields.number("strike", required=True))
     elif kind == "barrier_call":
-        claim = BarrierCall(
-            strike=fields.number("strike", required=True),
-            barrier=fields.number("barrier", required=True),
-            knock=fields.string("knock", default="down-out", choices=("down-out", "up-out")),
-        )
-    elif kind == "barrier_basket_call":
-        claim = BarrierBasketCall(
-            weights=_broadcast(fields.vector("weights", required=True), n_assets, "weights"),
-            strike=fields.number("strike", required=True),
-            barriers=_broadcast(fields.vector("barriers", required=True), n_assets, "barriers"),
-        )
-    elif kind == "best_of":
-        claim = BestOf(
-            weights=_broadcast(fields.vector("weights", required=True), n_assets, "weights"),
-            strike=fields.number("strike", required=True),
-        )
-    elif kind == "vanilla_call":
-        claim = VanillaCall(strike=fields.number("strike", required=True))
+        strike = fields.number("strike", required=True)
+        barrier = fields.number("barrier", required=True)
+        knock = fields.string("knock", default="down-out", choices=("down-out", "up-out"))
+        claim = Basket(np.ones(1), strike, np.array([barrier]), up=knock == "up-out")
     else:
-        claim = VanillaPut(strike=fields.number("strike", required=True))
+        weights = _broadcast(fields.vector("weights", required=True), n_assets, "weights")
+        strike = fields.number("strike", required=True)
+        if kind == "best_of":
+            claim = BestOf(weights, strike)
+        elif kind == "basket":
+            claim = Basket(weights, strike)
+        else:
+            barriers = fields.vector("barriers", required=True)
+            claim = Basket(weights, strike, _broadcast(barriers, n_assets, "barriers"))
     fields.finish()
     return claim
 
@@ -448,7 +436,7 @@ def _basket_points():
 def _barrier_points():
     for barrier in (70.0, 80.0, 90.0, 95.0):
         model = BlackScholesMulti.create(1, _MONTHLY_2Y, 100.0, 0.2, 0.05, 0.0)
-        yield f"L={barrier:g}", model, BarrierCall(strike=110.0, barrier=barrier)
+        yield f"L={barrier:g}", model, Basket(np.ones(1), 110.0, np.array([barrier]))
 
 
 def _barrier_basket_points():
@@ -456,7 +444,7 @@ def _barrier_basket_points():
     barriers = np.array([40.0, 30.0, 45.0, 20.0, 10.0])
     for strike in (45.0, 50.0, 55.0):
         model = BlackScholesMulti.create(5, _MONTHLY_2Y, spot, 0.2, 0.05, 0.3)
-        yield f"K={strike:g}", model, BarrierBasketCall(np.full(5, 0.2), strike, barriers)
+        yield f"K={strike:g}", model, Basket(np.full(5, 0.2), strike, barriers)
 
 
 def _digital_points():

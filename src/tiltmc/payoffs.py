@@ -47,11 +47,7 @@ __all__ = [
     "TabulatedVol",
     "Basket",
     "Digital",
-    "BarrierCall",
-    "BarrierBasketCall",
     "BestOf",
-    "VanillaCall",
-    "VanillaPut",
     "Payoff",
     "build_payoff",
     "chunk_rows",
@@ -335,25 +331,37 @@ ModelSpec = Union[BlackScholesMulti, LocalVol1D]
 # --- claims ------------------------------------------------------------------
 
 
-def _as_weights(weights, n_assets) -> np.ndarray:
+def _as_weights(weights, n_assets, name="weights") -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != n_assets:
-        raise IncompatibleClaim(f"claim has {w.size} weights but the model has {n_assets} assets")
+        raise IncompatibleClaim(f"claim has {w.size} {name} but the model has {n_assets} assets")
     if not np.isfinite(w).all():
-        raise IncompatibleClaim("claim weights must be finite")
+        raise IncompatibleClaim(f"claim {name} must be finite")
     return w
 
 
 @dataclass(frozen=True, eq=False)
 class Basket:
-    """(sum_i w_i S^i_T - K)_+; a negative strike prices put-like claims."""
+    """(sum_i w_i S^i_T - K)_+, optionally voided by barriers.
+
+    One asset with weight 1 and strike K is a call; weight -1 and strike -K
+    is a put. With ``barriers`` (one per asset) the claim pays only if every
+    asset stays at or above its barrier (at or below it, if ``up``) at every
+    grid date.
+    """
 
     weights: np.ndarray
     strike: float
+    barriers: np.ndarray | None = None
+    up: bool = False
 
     def payout(self, states: np.ndarray, model) -> np.ndarray:
         w = _as_weights(self.weights, model.n_assets)
-        return np.maximum(model.terminal(states) @ w - self.strike, 0.0)
+        value = np.maximum(model.terminal(states) @ w - self.strike, 0.0)
+        if self.barriers is None:
+            return value
+        barriers = _as_weights(self.barriers, model.n_assets, "barriers")
+        return value * model.alive(states, barriers, self.up)
 
 
 @dataclass(frozen=True)
@@ -371,59 +379,6 @@ class Digital:
         return hit.astype(np.float64)
 
 
-@dataclass(frozen=True)
-class VanillaCall:
-    strike: float
-
-    def payout(self, states: np.ndarray, model) -> np.ndarray:
-        if model.n_assets != 1:
-            raise IncompatibleClaim("vanilla claims require a single-asset model")
-        return np.maximum(model.terminal(states)[..., 0] - self.strike, 0.0)
-
-
-@dataclass(frozen=True)
-class VanillaPut:
-    strike: float
-
-    def payout(self, states: np.ndarray, model) -> np.ndarray:
-        if model.n_assets != 1:
-            raise IncompatibleClaim("vanilla claims require a single-asset model")
-        return np.maximum(self.strike - model.terminal(states)[..., 0], 0.0)
-
-
-@dataclass(frozen=True)
-class BarrierCall:
-    """Call knocked out when the asset crosses the barrier at any grid date."""
-
-    strike: float
-    barrier: float
-    knock: str = "down-out"  # or "up-out"
-
-    def payout(self, states: np.ndarray, model) -> np.ndarray:
-        if model.n_assets != 1:
-            raise IncompatibleClaim("single-asset barrier claims require a single-asset model")
-        if self.knock not in ("down-out", "up-out"):
-            raise IncompatibleClaim(f"unknown knock direction {self.knock!r}")
-        alive = model.alive(states, self.barrier, up=self.knock == "up-out")
-        return np.maximum(model.terminal(states)[..., 0] - self.strike, 0.0) * alive
-
-
-@dataclass(frozen=True, eq=False)
-class BarrierBasketCall:
-    """Basket call voided if any asset dips below its barrier at a grid date."""
-
-    weights: np.ndarray
-    strike: float
-    barriers: np.ndarray
-
-    def payout(self, states: np.ndarray, model) -> np.ndarray:
-        w = _as_weights(self.weights, model.n_assets)
-        barriers = _as_weights(self.barriers, model.n_assets)
-        alive = model.alive(states, barriers, up=False)
-        basket = model.terminal(states) @ w
-        return np.maximum(basket - self.strike, 0.0) * alive
-
-
 @dataclass(frozen=True, eq=False)
 class BestOf:
     """(max_i w_i S^i_T - K)_+ over several assets."""
@@ -437,7 +392,7 @@ class BestOf:
         return np.maximum(best - self.strike, 0.0)
 
 
-ClaimSpec = Union[Basket, Digital, VanillaCall, VanillaPut, BarrierCall, BarrierBasketCall, BestOf]
+ClaimSpec = Union[Basket, Digital, BestOf]
 
 
 # --- composed evaluator -------------------------------------------------------
@@ -445,7 +400,13 @@ ClaimSpec = Union[Basket, Digital, VanillaCall, VanillaPut, BarrierCall, Barrier
 
 @dataclass(frozen=True, eq=False)
 class Payoff:
-    """Discounted claim evaluator f: R^d -> R."""
+    """Discounted claim evaluator f: R^d -> R.
+
+    ``fn`` is a vectorized function of the normal vector. It receives
+    contiguous (m, d) row slices, m at most :func:`chunk_rows` (a single
+    point arrives as one row), and returns one value per row; row i of its
+    output must depend only on row i of its input.
+    """
 
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
@@ -466,17 +427,6 @@ class Payoff:
         # joining the parts at the end, and held slightly more memory.
         values = np.concatenate(parts) if parts else np.empty(0)
         return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
-
-    @classmethod
-    def from_function(cls, dim: int, fn: Callable[[np.ndarray], np.ndarray]) -> "Payoff":
-        """Wrap a vectorized function of the normal vector directly.
-
-        ``fn`` receives contiguous (m, d) row slices, m at most
-        :func:`chunk_rows` (a single point arrives as one row), and returns
-        one value per row; row i of its output must depend only on row i
-        of its input.
-        """
-        return cls(dim=dim, fn=fn)
 
 
 def build_payoff(model: ModelSpec, claim: ClaimSpec) -> Payoff:

@@ -18,14 +18,12 @@ from scipy.special import ndtr
 from scipy.stats import kstest
 
 from tiltmc import (
-    BarrierCall,
     Basket,
     BestOf,
     BlackScholesMulti,
     Digital,
     Payoff,
     RngStream,
-    VanillaCall,
     bs_digital_price,
     build_payoff,
     draw_samples,
@@ -44,7 +42,7 @@ from tiltmc import (
 from tiltmc.cli import main, run_experiment
 from tiltmc.config import builtin_experiment
 
-EXP_PAYOFF = Payoff.from_function(1, lambda x: np.exp(0.2 * x[..., 0]))
+EXP_PAYOFF = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
 
 
 def _check(tag: str, ok: bool, detail: str):
@@ -232,7 +230,7 @@ def _random_payoff_config(rng):
     pick = rng.integers(0, 5)
     if pick == 0:
         model = BlackScholesMulti.create(1, [1.0], 100.0, rng.uniform(0.1, 0.4), 0.05)
-        claim = VanillaCall(strike=rng.uniform(80.0, 120.0))
+        claim = Basket(np.ones(1), rng.uniform(80.0, 120.0))
         drift = identity_map(1)
     elif pick == 1:
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
@@ -249,7 +247,7 @@ def _random_payoff_config(rng):
     elif pick == 3:
         times = np.cumsum(rng.uniform(0.1, 0.3, int(rng.integers(3, 7))))
         model = BlackScholesMulti.create(1, times, 100.0, 0.2, 0.05)
-        claim = BarrierCall(strike=rng.uniform(90, 115), barrier=rng.uniform(60, 85))
+        claim = Basket(np.ones(1), rng.uniform(90, 115), np.array([rng.uniform(60, 85)]))
         drift = path_drift_multi(times, 1)
     else:
         times = np.cumsum(rng.uniform(0.2, 0.4, int(rng.integers(2, 4))))

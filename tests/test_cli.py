@@ -7,6 +7,9 @@ Claims:
     - equal seed and config give byte-identical CSV independent of threads
     - exit codes: 0 success, 2 config error, 3 numerical failure
     - environment variables override seed and thread count
+    - the reference price is the closed form for a one-asset lognormal
+      digital, call, put or positively scaled basket, and a sampled
+      estimate otherwise (a barrier call, a multi-asset basket)
     - coverage subcommand reports hits against the closed-form reference for
       every listed mode; all modes run on each replication's one block, and a
       failing mode counts as a failure of that mode only
@@ -24,10 +27,10 @@ import pytest
 
 import tiltmc.estimate
 import tiltmc.payoffs
-from tiltmc import DegeneratePayoff, RngStream
-from tiltmc.cli import emit_report, main, reference_price, run_experiment
+from tiltmc import DegeneratePayoff, RngStream, normal_draws
+from tiltmc.cli import _REFERENCE_STREAM_ID, emit_report, main, reference_price, run_experiment
 from tiltmc.config import builtin_experiment, parse_config
-from tiltmc.oracles import bs_call_price, bs_digital_price
+from tiltmc.oracles import bs_call_price, bs_digital_price, bs_put_price
 
 DIGITAL_CFG = """
 [model]
@@ -359,6 +362,35 @@ class TestReferencePrice:
     def test_digital_uses_closed_form(self, tmp_path):
         spec = parse_config(_digital_config(tmp_path))
         assert reference_price(spec) == bs_digital_price(100.0, 140.0, 0.05, 0.2, 1.0)
+
+    @pytest.mark.parametrize(
+        "claim, expected",
+        [
+            ("kind = vanilla_call\nstrike = 95", bs_call_price(100.0, 95.0, 0.05, 0.2, 1.0)),
+            ("kind = vanilla_put\nstrike = 95", bs_put_price(100.0, 95.0, 0.05, 0.2, 1.0)),
+            # (2 S - 200)_+ is twice the call struck at 100.
+            ("kind = basket\nweights = 2\nstrike = 200", 2 * bs_call_price(100.0, 100.0, 0.05, 0.2, 1.0)),
+        ],
+        ids=["vanilla_call", "vanilla_put", "basket"],
+    )
+    def test_one_asset_basket_uses_closed_form(self, tmp_path, claim, expected):
+        path = tmp_path / "one.cfg"
+        path.write_text(DIGITAL_CFG.replace("kind = digital\nlevel = 140", claim))
+        assert reference_price(parse_config(str(path))) == expected
+
+    def test_barrier_call_is_sampled(self, tmp_path):
+        path = tmp_path / "barrier.cfg"
+        path.write_text(
+            DIGITAL_CFG.replace("maturity = 1", "maturity = 1\nsteps = 12").replace(
+                "kind = digital\nlevel = 140", "kind = barrier_call\nstrike = 95\nbarrier = 85"
+            )
+        )
+        spec = parse_config(str(path))
+        payoff = spec.payoff()
+        draws = normal_draws(RngStream(spec.seed, _REFERENCE_STREAM_ID), 1000 * payoff.dim)
+        sampled = float(np.sum(payoff(draws.reshape(1000, payoff.dim)))) / 1000
+        assert reference_price(spec, n_ref=1000) == sampled
+        assert 0.0 < sampled < bs_call_price(100.0, 95.0, 0.05, 0.2, 1.0)
 
     def test_fallback_to_high_n_estimate(self, tmp_path):
         # Multi-asset claims have no closed form: the reference comes from

@@ -12,13 +12,16 @@ Claims:
       or repeated mode) or replication count on its own field
     - a vol table entry that is not finite, or a vol floor above the cap,
       fails at parse time and names the field
+    - each of the seven [claim] kinds parses to its Basket, Digital or
+      BestOf claim and builds its payoff; a single-asset kind on a
+      two-asset model fails on field 'claim'
 """
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from tiltmc import BarrierBasketCall, Basket, ConfigError, Digital, LocalVol1D
+from tiltmc import Basket, BestOf, ConfigError, Digital, LocalVol1D, build_payoff
 from tiltmc.cli import main
 from tiltmc.config import (
     BUILTIN_NAMES,
@@ -183,7 +186,8 @@ drift = path_multi
         spec = parse_config(_write(tmp_path, text))
         assert spec.dim == 120
         assert spec.d_reduced == 5
-        assert isinstance(spec.claim, BarrierBasketCall)
+        assert isinstance(spec.claim, Basket)
+        assert spec.claim.barriers.tolist() == [40.0, 30.0, 45.0, 20.0, 10.0]
         assert "d = 120" in spec.describe() and "d' = 5" in spec.describe()
 
     def test_localvol_config(self, tmp_path):
@@ -226,12 +230,23 @@ modes = crude rris
         with pytest.raises(ConfigError):
             parse_config(_write(tmp_path, text))
 
-    def test_incompatible_claim_surfaces(self, tmp_path):
+    def test_incompatible_claim_surfaces(self, tmp_path, capsys):
         text = MINIMAL_DIGITAL.replace(
             "kind = digital\nlevel = 140", "kind = basket\nstrike = 1\nweights = 1 1"
         )
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError) as err:
             parse_config(_write(tmp_path, text))
+        assert err.value.field == "weights"
+        # Single-asset kinds on a two-asset model fail on the claim itself.
+        two_assets = MINIMAL_DIGITAL.replace("[model]", "[model]\nassets = 2")
+        for claim in (
+            "kind = vanilla_call\nstrike = 100",
+            "kind = vanilla_put\nstrike = 100",
+            "kind = barrier_call\nstrike = 100\nbarrier = 80",
+        ):
+            text = two_assets.replace("kind = digital\nlevel = 140", claim)
+            assert main(["price", str(_write(tmp_path, text))]) == 2, claim
+            assert "field 'claim'" in capsys.readouterr().err
 
     def test_explicit_times_replace_maturity(self, tmp_path):
         text = MINIMAL_DIGITAL.replace("maturity = 1", "times = 0.5 1.0 2.0")
@@ -307,6 +322,56 @@ modes = crude rris
             assert info.value.field == "n"
 
 
+# Each [claim] kind: the model's asset count, its keys, and the claim it builds.
+CLAIM_KINDS = {
+    "basket": (2, "weights = 0.5\nstrike = 100", Basket(np.full(2, 0.5), 100.0)),
+    "digital": (1, "level = 140\ndirection = below", Digital(140.0, above=False)),
+    "barrier_call": (
+        1, "strike = 100\nbarrier = 120\nknock = up-out",
+        Basket(np.ones(1), 100.0, np.array([120.0]), up=True),
+    ),
+    "barrier_basket_call": (
+        2, "weights = 0.5\nstrike = 100\nbarriers = 80 70",
+        Basket(np.full(2, 0.5), 100.0, np.array([80.0, 70.0])),
+    ),
+    "best_of": (2, "weights = 1\nstrike = 100", BestOf(np.ones(2), 100.0)),
+    "vanilla_call": (1, "strike = 100", Basket(np.ones(1), 100.0)),
+    "vanilla_put": (1, "strike = 100", Basket(-np.ones(1), -100.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLAIM_KINDS))
+def test_every_claim_kind_parses_and_builds(tmp_path, kind):
+    assets, keys, expected = CLAIM_KINDS[kind]
+    text = f"""
+[model]
+kind = bs
+assets = {assets}
+steps = 4
+maturity = 1
+spot = 100
+vol = 0.2
+rate = 0.05
+rho = 0.3
+
+[claim]
+kind = {kind}
+{keys}
+
+[run]
+n = 100
+seed = 5
+"""
+    spec = parse_config(_write(tmp_path, text))
+    assert type(spec.claim) is type(expected)
+    for name, value in vars(expected).items():
+        assert np.array_equal(getattr(spec.claim, name), value), name
+    x = np.random.default_rng(1).standard_normal((200, spec.dim))
+    values = spec.payoff()(x)
+    assert np.array_equal(values, build_payoff(spec.model, expected)(x))
+    assert (values > 0).any()
+
+
 class TestBuiltins:
     def test_names(self):
         assert set(BUILTIN_NAMES) == {"table1", "table3", "table4", "digital-coverage"}
@@ -327,7 +392,8 @@ class TestBuiltins:
 
     def test_barrier_grid_rows(self):
         rows = builtin_experiment("table3")
-        assert [row.spec.claim.barrier for row in rows] == [70.0, 80.0, 90.0, 95.0]
+        assert [row.spec.claim.barriers.tolist() for row in rows] == [[70.0], [80.0], [90.0], [95.0]]
+        assert not rows[0].spec.claim.up
         spec = rows[0].spec
         assert spec.dim == 24
         assert spec.model.maturity == approx(2.0)

@@ -46,7 +46,6 @@ from tiltmc import (
     NonFiniteObjective,
     Payoff,
     RngStream,
-    VanillaCall,
     bs_call_price,
     bs_digital_price,
     build_payoff,
@@ -64,13 +63,13 @@ from tiltmc.cli import _REFERENCE_STREAM_ID
 from tiltmc.config import builtin_experiment
 from tiltmc.estimate import run_block
 
-EXP_PAYOFF = Payoff.from_function(1, lambda x: np.exp(0.2 * x[..., 0]))
+EXP_PAYOFF = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
 
 
 class TestTiltedMean:
     def test_zero_tilt_is_plain_mean(self):
         block = draw_samples(RngStream(1, 0), 5_000, 1)
-        payoff = Payoff.from_function(1, lambda x: np.maximum(x[..., 0], 0.0))
+        payoff = Payoff(1, lambda x: np.maximum(x[..., 0], 0.0))
         table = precompute_weights(block, payoff)
         assert tilted_terms(table, [0.0]) is table.values
         assert tilted_terms(table, [0.0]).mean() == payoff(block.values).mean()
@@ -84,7 +83,7 @@ class TestTiltedMean:
 
     def test_constant_payoff_unbiased_under_tilt(self):
         c = 2.5
-        payoff = Payoff.from_function(2, lambda x: np.full(x.shape[:-1], c))
+        payoff = Payoff(2, lambda x: np.full(x.shape[:-1], c))
         block = draw_samples(RngStream(3, 0), 100_000, 2)
         terms = tilted_terms(precompute_weights(block, payoff), [0.4, -0.3])
         se = terms.std() / np.sqrt(terms.size)
@@ -93,7 +92,7 @@ class TestTiltedMean:
     def test_fixed_tilt_grand_mean_matches_closed_form(self):
         # 10^4 replications of n = 100 collapse to one mean over 10^6 draws.
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
-        payoff = build_payoff(model, VanillaCall(strike=100.0))
+        payoff = build_payoff(model, Basket(np.ones(1), 100.0))
         block = draw_samples(RngStream(4, 0), 1_000_000, 1)
         terms = tilted_terms(precompute_weights(block, payoff), [0.5])
         se = terms.std() / np.sqrt(terms.size)
@@ -191,9 +190,7 @@ class TestPipelines:
     def test_subspace_mode_uses_supplied_drift(self):
         times = 2.0 / 24.0 * np.arange(1, 25)
         model = BlackScholesMulti.create(1, times, 100.0, 0.2, 0.05)
-        from tiltmc import BarrierCall
-
-        payoff = build_payoff(model, BarrierCall(strike=110.0, barrier=80.0))
+        payoff = build_payoff(model, Basket(np.ones(1), 110.0, np.array([80.0])))
         table = precompute_weights(draw_samples(RngStream(41, 0), 4_000, 24), payoff)
         drift = path_drift_multi(times, 1)
         report = run_pipeline(table, "rris", drift)
@@ -235,7 +232,7 @@ class TestPipelines:
     def test_crude_rejects_non_finite_payoff(self):
         # Crude goes through the same finiteness check as the tilted modes
         # instead of pricing inf with a nan interval.
-        payoff = Payoff.from_function(1, lambda x: np.where(x[..., 0] > 3, np.inf, 1.0))
+        payoff = Payoff(1, lambda x: np.where(x[..., 0] > 3, np.inf, 1.0))
         table = precompute_weights(draw_samples(RngStream(1), 100_000, 1), payoff)
         with pytest.raises(NonFiniteEstimate):
             run_pipeline(table, "crude")
@@ -279,7 +276,7 @@ class TestPipelines:
         from tiltmc import ConstantVol, LocalVol1D
 
         model = LocalVol1D(spot=100.0, rate=0.05, maturity=1.0, n_steps=64, vol_fn=ConstantVol(0.2))
-        payoff = build_payoff(model, VanillaCall(strike=100.0))
+        payoff = build_payoff(model, Basket(np.ones(1), 100.0))
         table = precompute_weights(draw_samples(RngStream(500, 0), 50_000, 64), payoff)
         report = run_pipeline(table, "rris", path_drift_multi(model.times, 1))
         exact = bs_call_price(100.0, 100.0, 0.05, 0.2, 1.0)
@@ -289,7 +286,7 @@ class TestPipelines:
 
     def test_two_stage_price_quality(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
-        payoff = build_payoff(model, VanillaCall(strike=110.0))
+        payoff = build_payoff(model, Basket(np.ones(1), 110.0))
         table = precompute_weights(draw_samples(RngStream(501, 0), 50_000, 1), payoff)
         report = run_pipeline(table, "two_stage")
         exact = bs_call_price(100.0, 110.0, 0.05, 0.2, 1.0)
@@ -309,7 +306,7 @@ class TestPipelines:
 
 class TestCoverage:
     def test_constant_payoff_degenerate_full_coverage(self):
-        payoff = Payoff.from_function(1, lambda x: np.ones(x.shape[:-1]))
+        payoff = Payoff(1, lambda x: np.ones(x.shape[:-1]))
         result = coverage_experiment(
             payoff, "crude", 101, 7, 1.0, replications=50, level=0.95
         )
@@ -370,12 +367,12 @@ class TestCoverage:
         def broken(x):
             raise TypeError("payoff bug")
 
-        payoff = Payoff.from_function(1, broken)
+        payoff = Payoff(1, broken)
         with pytest.raises(TypeError, match="payoff bug"):
             coverage_experiment(payoff, "ris", 100, 3, 0.0, replications=4, threads=threads)
 
     def test_thread_count_does_not_change_outcome(self):
-        payoff = Payoff.from_function(1, lambda x: np.abs(x[..., 0]))
+        payoff = Payoff(1, lambda x: np.abs(x[..., 0]))
         serial = coverage_experiment(payoff, "ris", 500, 9, 0.7978845608, replications=40)
         threaded = coverage_experiment(
             payoff, "ris", 500, 9, 0.7978845608, replications=40, threads=4

@@ -54,8 +54,8 @@ from tiltmc.config import parse_config
 from tiltmc.optimize import _OPTIMIZER_CHUNK, _Objective
 from tiltmc.payoffs import chunk_rows
 
-EXP_PAYOFF = Payoff.from_function(1, lambda x: np.exp(0.2 * x[..., 0]))
-ONES_PAYOFF_1D = Payoff.from_function(1, lambda x: np.ones(x.shape[:-1]))
+EXP_PAYOFF = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
+ONES_PAYOFF_1D = Payoff(1, lambda x: np.ones(x.shape[:-1]))
 
 
 def _table(values, *, d=None, weights_of=None):
@@ -65,14 +65,14 @@ def _table(values, *, d=None, weights_of=None):
     object.__setattr__(block, "values", values)
     values.setflags(write=False)
     fn = weights_of if weights_of is not None else (lambda x: np.ones(x.shape[:-1]))
-    payoff = Payoff.from_function(values.shape[1], fn)
+    payoff = Payoff(values.shape[1], fn)
     return precompute_weights(block, payoff)
 
 
 class TestWeights:
     def test_constant_payoff_gives_unit_weights(self):
         block = draw_samples(RngStream(5, 0), 50, 2)
-        table = precompute_weights(block, Payoff.from_function(2, lambda x: np.ones(x.shape[:-1])))
+        table = precompute_weights(block, Payoff(2, lambda x: np.ones(x.shape[:-1])))
         assert table.values == approx(np.ones(50))
         assert table.nonzero == 50
         assert eval_vn(table, identity_map(2), [0.0, 0.0]) == approx(1.0)
@@ -97,7 +97,7 @@ class TestWeights:
 
     def test_underflowed_square_counts_as_zero(self):
         block = draw_samples(RngStream(5, 2), 10, 1)
-        payoff = Payoff.from_function(1, lambda x: np.full(x.shape[:-1], 1e-200))
+        payoff = Payoff(1, lambda x: np.full(x.shape[:-1], 1e-200))
         table = precompute_weights(block, payoff)
         assert table.nonzero == 0
         with pytest.raises(DegeneratePayoff):
@@ -105,7 +105,7 @@ class TestWeights:
 
     def test_non_finite_weights_raise(self):
         block = draw_samples(RngStream(5, 3), 1_000, 1)
-        payoff = Payoff.from_function(1, lambda x: np.where(x[..., 0] > 1.5, np.nan, 1.0))
+        payoff = Payoff(1, lambda x: np.where(x[..., 0] > 1.5, np.nan, 1.0))
         table = precompute_weights(block, payoff)
         with pytest.raises(NonFiniteObjective):
             newton_minimize(table, identity_map(1))
@@ -304,7 +304,7 @@ class TestNewton:
 
     def test_deterministic_result(self):
         block = draw_samples(RngStream(12, 0), 1_000, 3)
-        payoff = Payoff.from_function(3, lambda x: np.maximum(x.sum(axis=-1), 0.0))
+        payoff = Payoff(3, lambda x: np.maximum(x.sum(axis=-1), 0.0))
         a = newton_minimize(precompute_weights(block, payoff), identity_map(3))
         b = newton_minimize(precompute_weights(block, payoff), identity_map(3))
         assert (a.theta == b.theta).all()

@@ -138,7 +138,7 @@ class TestThetaStar:
     def test_sampled_optimizer_agrees_with_quadrature(self):
         # Empirical minimizer over 10^6 draws vs the quadrature optimum,
         # within 4 plug-in standard errors.
-        payoff = Payoff.from_function(1, lambda x: np.exp(0.2 * x[..., 0]) + 0.1)
+        payoff = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]) + 0.1)
         theta_star, _ = quadrature_theta_star(lambda y: np.exp(0.2 * y) + 0.1)
         block = draw_samples(RngStream(2025, 0), 1_000_000, 1)
         table = precompute_weights(block, payoff)

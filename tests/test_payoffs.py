@@ -5,11 +5,14 @@ Claims:
       closed-form call price in Monte Carlo over one million draws
     - the Euler recursion degenerates correctly with zero noise and reduces
       to one multiplicative step for constant volatility
-    - claims (basket, digital, barriers, best-of, vanilla) implement their
-      indicator/rectifier definitions and discounting
+    - claims (basket, digital, barriers, best-of) implement their
+      indicator/rectifier definitions and discounting; a one-asset basket
+      with weight 1 or -1 and strike K or -K gives the bits of the call
+      max(S_T - K, 0) and the put max(K - S_T, 0)
     - barrier payoffs are nondecreasing along the single-parameter path
       drift direction
-    - claim/model compatibility is validated eagerly
+    - claim/model compatibility is validated eagerly, and a count mismatch
+      names what is miscounted (weights or barriers)
     - lognormal claims read Brownian values: the terminal read equals the
       price grid's last date bitwise, and barrier claims, monitored against
       thresholds on W, equal their price-space definitions bitwise, also on
@@ -29,8 +32,6 @@ import pytest
 from pytest import approx
 
 from tiltmc import (
-    BarrierBasketCall,
-    BarrierCall,
     Basket,
     BestOf,
     BlackScholesMulti,
@@ -43,8 +44,6 @@ from tiltmc import (
     PowerLawVol,
     RngStream,
     TabulatedVol,
-    VanillaCall,
-    VanillaPut,
     bs_call_price,
     build_payoff,
     draw_samples,
@@ -59,6 +58,21 @@ from tiltmc.payoffs import chunk_rows
 def _basket40(rho=0.2, strike=50.0):
     model = BlackScholesMulti.create(40, [1.0], 50.0, 0.2, 0.05, rho)
     return model, Basket(weights=np.full(40, 1.0 / 40.0), strike=strike)
+
+
+_SINGLE_ASSET_MODELS = (
+    BlackScholesMulti.create(1, [0.5, 1.0], 100.0, 0.2, 0.05),
+    LocalVol1D(
+        spot=100.0, rate=0.05, maturity=1.0, n_steps=12,
+        vol_fn=PowerLawVol(sigma=0.2, gamma=0.5, ref_spot=100.0),
+    ),
+)
+
+
+def _terminal_draws(model):
+    """Draws, their S_T read off the price grid, and the discount factor."""
+    x = draw_samples(RngStream(21), 5000, model.dim).values
+    return x, model.paths(x)[..., -1, 0], np.exp(-model.rate * model.maturity)
 
 
 class TestAssetPaths:
@@ -93,7 +107,7 @@ class TestAssetPaths:
 
     def test_terminal_law_matches_closed_form_call(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
-        payoff = build_payoff(model, VanillaCall(strike=100.0))
+        payoff = build_payoff(model, Basket(np.ones(1), 100.0))
         block = draw_samples(RngStream(88, 0), 1_000_000, 1)
         values = payoff(block.values)
         se = values.std() / np.sqrt(values.size)
@@ -118,7 +132,7 @@ class TestClaims:
     def test_barrier_knockout_annihilates(self):
         times = np.array([0.5, 1.0])
         model = BlackScholesMulti.create(1, times, 100.0, 0.2, 0.05)
-        payoff = build_payoff(model, BarrierCall(strike=50.0, barrier=80.0))
+        payoff = build_payoff(model, Basket(np.ones(1), 50.0, np.array([80.0])))
         # First coordinate very negative: monitoring date breaches the
         # barrier even though the terminal value recovers above the strike.
         x = np.array([-4.0, 8.0])
@@ -128,18 +142,24 @@ class TestClaims:
 
     def test_vanilla_call_closed_chain(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
-        payoff = build_payoff(model, VanillaCall(strike=95.0))
+        payoff = build_payoff(model, Basket(np.ones(1), 95.0))
         rng = np.random.default_rng(17)
         for x in rng.standard_normal(10):
             expected = np.exp(-0.05) * max(
                 100.0 * np.exp((0.05 - 0.02) * 1.0 + 0.2 * x) - 95.0, 0.0
             )
             assert payoff(np.array([x])) == approx(expected)
+        # Weight 1 and strike K give the call max(S_T - K, 0) bit for bit.
+        for model in _SINGLE_ASSET_MODELS:
+            x, s_t, discount = _terminal_draws(model)
+            call = build_payoff(model, Basket(np.ones(1), 95.0))(x)
+            assert np.array_equal(call, discount * np.maximum(s_t - 95.0, 0.0))
+            assert call.mean() > 0.0
 
     def test_best_of_single_asset_is_vanilla(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
         best = build_payoff(model, BestOf(weights=np.array([1.0]), strike=90.0))
-        call = build_payoff(model, VanillaCall(strike=90.0))
+        call = build_payoff(model, Basket(np.ones(1), 90.0))
         x = np.linspace(-2, 2, 9).reshape(-1, 1)
         assert best(x) == approx(call(x))
 
@@ -162,18 +182,20 @@ class TestClaims:
         model = BlackScholesMulti.create(2, times, [50.0, 50.0], [0.2, 0.2], 0.05, 0.0)
         payoff = build_payoff(
             model,
-            BarrierBasketCall(weights=np.array([0.5, 0.5]), strike=10.0, barriers=np.array([40.0, 40.0])),
+            Basket(weights=np.array([0.5, 0.5]), strike=10.0, barriers=np.array([40.0, 40.0])),
         )
         # Second asset crashes through its barrier.
         x = np.array([0.5, -8.0])
         assert payoff(x) == 0.0
 
     def test_put_is_negative_weight_basket(self):
-        model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
-        put = build_payoff(model, VanillaPut(strike=95.0))
-        flipped = build_payoff(model, Basket(weights=np.array([-1.0]), strike=-95.0))
-        x = np.linspace(-3, 3, 13).reshape(-1, 1)
-        assert put(x) == approx(flipped(x))
+        # Weight -1 and strike -K give the put max(K - S_T, 0) bit for bit:
+        # S_T * -1 is exact and -S_T - (-K) rounds as K - S_T does.
+        for model in _SINGLE_ASSET_MODELS:
+            x, s_t, discount = _terminal_draws(model)
+            put = build_payoff(model, Basket(-np.ones(1), -95.0))(x)
+            assert np.array_equal(put, discount * np.maximum(95.0 - s_t, 0.0))
+            assert put.mean() > 0.0
 
 
 def _near_barrier_rows(model, barriers, rng, count):
@@ -202,13 +224,8 @@ def _near_barrier_rows(model, barriers, rng, count):
 def _price_space_reference(model, claim, x):
     """The claim's definition evaluated on the full price grid."""
     s = model.paths(x)
-    if isinstance(claim, BarrierBasketCall):
-        alive = (s >= claim.barriers).all(axis=(-2, -1))
-        value = np.maximum(s[..., -1, :] @ claim.weights - claim.strike, 0.0)
-    else:
-        path = s[..., 0]
-        alive = (path >= claim.barrier if claim.knock == "down-out" else path <= claim.barrier).all(axis=-1)
-        value = np.maximum(path[..., -1] - claim.strike, 0.0)
+    alive = (s <= claim.barriers if claim.up else s >= claim.barriers).all(axis=(-2, -1))
+    value = np.maximum(s[..., -1, :] @ claim.weights - claim.strike, 0.0)
     return np.exp(-model.rate * model.maturity) * (value * alive), alive
 
 
@@ -217,18 +234,17 @@ class TestBrownianReads:
     five = BlackScholesMulti.create(5, steps, [50.0, 40.0, 60.0, 30.0, 20.0], 0.2, 0.05, 0.3)
     single = BlackScholesMulti.create(1, steps, 100.0, 0.2, 0.05)
     CASES = {
-        "basket": (five, BarrierBasketCall(
+        "basket": (five, Basket(
             weights=np.full(5, 0.2), strike=38.0, barriers=np.array([45.0, 36.0, 54.0, 27.0, 18.0]),
         )),
-        "down-out": (single, BarrierCall(strike=100.0, barrier=90.0)),
-        "up-out": (single, BarrierCall(strike=95.0, barrier=115.0, knock="up-out")),
+        "down-out": (single, Basket(np.ones(1), 100.0, np.array([90.0]))),
+        "up-out": (single, Basket(np.ones(1), 95.0, np.array([115.0]), up=True)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_barrier_claim_equals_price_space_reference(self, name):
         model, claim = self.CASES[name]
-        barriers = claim.barriers if isinstance(claim, BarrierBasketCall) else claim.barrier
-        near = _near_barrier_rows(model, barriers, np.random.default_rng(4), 400)
+        near = _near_barrier_rows(model, claim.barriers, np.random.default_rng(4), 400)
         x = np.concatenate([draw_samples(RngStream(6), 3000, model.dim).values, near])
         expected, alive = _price_space_reference(model, claim, x)
         assert np.array_equal(build_payoff(model, claim)(x), expected)
@@ -270,20 +286,20 @@ class TestBrownianReads:
             spot=100.0, rate=0.05, maturity=1.0, n_steps=12,
             vol_fn=PowerLawVol(sigma=0.2, gamma=0.5, ref_spot=100.0),
         )
-        claim = BarrierCall(strike=100.0, barrier=barrier, knock=knock)
+        claim = Basket(np.ones(1), 100.0, np.array([barrier]), up=knock == "up-out")
         x = draw_samples(RngStream(12), 20_000, model.dim).values
         values = build_payoff(model, claim)(x)
         expected, alive = _price_space_reference(model, claim, x)
         assert np.array_equal(values, expected)
         assert 0.2 < alive.mean() < 0.99
-        assert 0.0 < values.mean() < build_payoff(model, VanillaCall(strike=100.0))(x).mean()
+        assert 0.0 < values.mean() < build_payoff(model, Basket(np.ones(1), 100.0))(x).mean()
 
 
 class TestMonotonicityAlongDrift:
     def test_barrier_call_nondecreasing_in_path_drift(self):
         times = 2.0 / 24.0 * np.arange(1, 25)
         model = BlackScholesMulti.create(1, times, 100.0, 0.2, 0.05)
-        payoff = build_payoff(model, BarrierCall(strike=110.0, barrier=80.0))
+        payoff = build_payoff(model, Basket(np.ones(1), 110.0, np.array([80.0])))
         drift = path_drift_multi(times, 1)
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -307,18 +323,23 @@ class TestValidation:
 
     def test_non_finite_input_rejected(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
-        payoff = build_payoff(model, VanillaCall(strike=100.0))
+        payoff = build_payoff(model, Basket(np.ones(1), 100.0))
         with pytest.raises(NonFiniteInput):
             payoff(np.array([np.nan]))
 
     def test_dimension_mismatch_rejected(self):
         model = BlackScholesMulti.create(1, [1.0], 100.0, 0.2, 0.05)
-        payoff = build_payoff(model, VanillaCall(strike=100.0))
+        payoff = build_payoff(model, Basket(np.ones(1), 100.0))
         with pytest.raises(ValueError):
             payoff(np.zeros(2))
 
-    def test_from_function_wrapper(self):
-        payoff = Payoff.from_function(1, lambda x: np.exp(0.2 * x[..., 0]))
+    def test_barrier_count_mismatch_names_barriers(self):
+        model = BlackScholesMulti.create(5, [0.5, 1.0], 50.0, 0.2, 0.05, 0.3)
+        with pytest.raises(IncompatibleClaim, match="claim has 3 barriers but the model has 5 assets"):
+            build_payoff(model, Basket(np.full(5, 0.2), 50.0, np.ones(3)))
+
+    def test_function_payoff(self):
+        payoff = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
         assert payoff(np.array([1.0])) == approx(np.exp(0.2))
         assert payoff(np.zeros((4, 1))) == approx(np.ones(4))
 
@@ -376,18 +397,18 @@ def _every_claim():
     return {
         "basket40": build_payoff(*_basket40()),
         "digital": build_payoff(single, Digital(level=100.0)),
-        "call": build_payoff(single, VanillaCall(strike=100.0)),
-        "put": build_payoff(single, VanillaPut(strike=100.0)),
-        "barrier": build_payoff(single_path, BarrierCall(strike=100.0, barrier=85.0)),
+        "call": build_payoff(single, Basket(np.ones(1), 100.0)),
+        "put": build_payoff(single, Basket(-np.ones(1), -100.0)),
+        "barrier": build_payoff(single_path, Basket(np.ones(1), 100.0, np.array([85.0]))),
         "barrier_basket": build_payoff(
             five,
-            BarrierBasketCall(
+            Basket(
                 weights=np.full(5, 0.2), strike=40.0,
                 barriers=np.array([40.0, 30.0, 45.0, 20.0, 10.0]),
             ),
         ),
         "best_of": build_payoff(three, BestOf(weights=np.ones(3), strike=65.0)),
-        "local_vol": build_payoff(local, VanillaCall(strike=100.0)),
+        "local_vol": build_payoff(local, Basket(np.ones(1), 100.0)),
     }
 
 
@@ -408,7 +429,7 @@ class TestChunkedEvaluation:
             seen.append(x.copy())
             return x.sum(axis=-1)
 
-        payoff = Payoff.from_function(d, record)
+        payoff = Payoff(d, record)
         x = np.random.default_rng(d).standard_normal((3 * rows + 17, d))
         out = payoff(x)
         assert np.array_equal(np.concatenate(seen), x)

@@ -7,8 +7,6 @@ surface is deliberate and visible in the diff.
 import tiltmc
 
 PUBLIC_NAMES = [
-    "BarrierBasketCall",
-    "BarrierCall",
     "Basket",
     "BestOf",
     "BlackScholesMulti",
@@ -40,8 +38,6 @@ PUBLIC_NAMES = [
     "SingularHessian",
     "TabulatedVol",
     "TiltmcError",
-    "VanillaCall",
-    "VanillaPut",
     "WeightTable",
     "bs_call_price",
     "bs_digital_price",
@@ -81,4 +77,4 @@ def _exports():
 
 def test_public_names_snapshot():
     assert _exports() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 56
