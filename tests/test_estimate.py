@@ -23,12 +23,16 @@ Claims:
     - under glibc, a repeated block reuses freed heap memory instead of
       faulting it back in, on the main thread and on worker threads; the
       allocator policy is set once and is skipped without glibc
+    - threaded runs reuse one pool per worker count, a threaded call made
+      on a worker runs serially instead of waiting for its own pool, and an
+      error returns only after every item already started has finished
 """
 
 import ctypes
 import platform
 import resource
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -378,6 +382,55 @@ class TestCoverage:
             payoff, "ris", 500, 9, 0.7978845608, replications=40, threads=4
         )
         assert serial == threaded
+
+    def test_back_to_back_runs_share_one_pool(self):
+        # A fresh pool per call could be given a fresh glibc arena and fault
+        # a block's memory in again.
+        workers = set()
+
+        def payoff_fn(x):
+            workers.add(threading.current_thread().name)
+            return np.abs(x[..., 0])
+
+        payoff = Payoff(1, payoff_fn)
+        results = [
+            coverage_experiment(payoff, "ris", 500, 9, 0.7978845608, replications=6, threads=2)
+            for _ in range(3)
+        ]
+        assert results[0] == results[1] == results[2]
+        assert 1 <= len(workers) <= 2
+        alive = [t for t in threading.enumerate() if t.name in workers]
+        assert len(alive) <= 2
+
+    def test_call_from_a_worker_runs_serially(self):
+        # Nested on the same two workers, a pooled inner call would wait for
+        # the outer items that occupy them.
+        def outer(i):
+            return tiltmc.estimate.map_threads(lambda j: (i, j), range(3), 2)
+
+        done = []
+        runner = threading.Thread(
+            target=lambda: done.append(tiltmc.estimate.map_threads(outer, range(4), 2)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert done == [[[(i, j) for j in range(3)] for i in range(4)]]
+
+    def test_error_returns_after_every_started_item(self):
+        started, finished = threading.Event(), []
+
+        def item(i):
+            if i == 0:
+                started.wait(timeout=10)
+                raise TypeError("item bug")
+            started.set()
+            time.sleep(0.05)
+            finished.append(i)
+
+        with pytest.raises(TypeError, match="item bug"):
+            tiltmc.estimate.map_threads(item, range(2), 2)
+        assert finished == [1]
 
 
 class TestBlockMemory:

@@ -17,8 +17,10 @@ Claims:
       price grid's last date bitwise, and barrier claims, monitored against
       thresholds on W, equal their price-space definitions bitwise, also on
       paths placed just either side of a barrier; Euler barrier claims
-      compare prices directly; the one-asset and one-date shortcuts of
-      ``states`` equal the general matmul and cumsum bitwise
+      compare prices directly; ``states`` equals the per-row matmul and
+      cumsum bitwise, by its date loop and by its cumsum, row by row as in
+      a one-row call, and its date-major memory reads the same terminal
+      values, barrier outcomes and prices as a row-major copy
     - batches are evaluated over 64-row-aligned row chunks: bit-identical to
       one whole-array call for every claim (payoff and tilted pass), no
       non-finite row is skipped, and the extra memory is bounded by a chunk,
@@ -52,6 +54,7 @@ from tiltmc import (
     tilted_terms,
 )
 from tiltmc.config import builtin_experiment
+from tiltmc import payoffs
 from tiltmc.payoffs import chunk_rows
 
 
@@ -265,8 +268,9 @@ class TestBrownianReads:
     @pytest.mark.parametrize("n_steps", [1, 3, 24])
     @pytest.mark.parametrize("n_assets", [1, 2, 5, 40])
     def test_states_shortcuts_match_matmul_and_cumsum(self, n_assets, n_steps):
-        # One asset skips the per-row 1 x 1 matmul and one date the cumsum;
-        # neither may change a bit of the general path.
+        # One asset skips the per-row 1 x 1 matmul, and wide batches sum
+        # their dates by a loop over date-major memory; neither may change a
+        # bit of the matmul and cumsum.
         model = BlackScholesMulti.create(n_assets, np.linspace(0.25, 2.0, n_steps), 50.0, 0.2, 0.05, 0.3)
         rng = np.random.default_rng(10 * n_assets + n_steps)
         dt = np.sqrt(np.diff(model.times, prepend=0.0))[:, None]
@@ -279,6 +283,43 @@ class TestBrownianReads:
             rng.standard_normal(model.dim)
         ]:
             assert np.array_equal(model.states(x), reference(x)), x.shape
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 24])
+    @pytest.mark.parametrize("n_assets", [2, 5, 40])
+    def test_each_row_of_a_batch_equals_its_one_row_call(self, n_assets, n_steps):
+        # One stacked (N, rows, I) product would sum some rows differently
+        # from the same rows alone; the per-row product must not.
+        model = BlackScholesMulti.create(n_assets, np.linspace(0.25, 2.0, n_steps), 50.0, 0.2, 0.05, 0.3)
+        x = np.random.default_rng(n_assets * n_steps).standard_normal((517, model.dim))
+        batch = model.states(x)
+        for row in range(517):
+            assert np.array_equal(batch[row], model.states(x[row : row + 1])[0]), row
+            assert np.array_equal(batch[row], model.states(x[row])), row
+
+    @pytest.mark.parametrize("date_major", [True, False], ids=["date-loop", "cumsum"])
+    @pytest.mark.parametrize("n_steps, n_assets", [(1000, 1), (252, 5), (50, 10), (24, 5), (3, 2)])
+    def test_both_accumulations_equal_cumsum(self, monkeypatch, n_steps, n_assets, date_major):
+        monkeypatch.setattr(payoffs, "_DATE_MAJOR_MIN_ELEMENTS", 0 if date_major else 1 << 62)
+        model = BlackScholesMulti.create(n_assets, np.linspace(0.01, 1.0, n_steps), 50.0, 0.2, 0.05, 0.3)
+        dt = np.sqrt(np.diff(model.times, prepend=0.0))[:, None]
+        rng = np.random.default_rng(n_steps + n_assets)
+        for x in (rng.standard_normal(model.dim), rng.standard_normal((chunk_rows(model.dim), model.dim))):
+            w = x.reshape(x.shape[:-1] + (n_steps, n_assets)) @ model.chol.T
+            assert np.array_equal(model.states(x), np.cumsum(w * dt, axis=-2)), x.shape
+
+    @pytest.mark.parametrize("name", ["basket", "up-out"])
+    def test_reads_agree_on_date_major_and_row_major_memory(self, name):
+        model, claim = self.CASES[name]
+        x = draw_samples(RngStream(14), chunk_rows(model.dim), model.dim).values
+        w = model.states(x)
+        assert not w.flags.c_contiguous  # a chunk this wide is held date-major
+        copy = np.ascontiguousarray(w)
+        assert np.array_equal(model.terminal(w), model.terminal(copy))
+        alive = model.alive(w, claim.barriers, claim.up)
+        assert np.array_equal(alive, model.alive(copy, claim.barriers, claim.up))
+        assert 0.0 < alive.mean() < 1.0
+        grid = model.spot * np.exp(model._log_drift() + model.vol * copy)
+        assert np.array_equal(model.paths(x), grid)
 
     @pytest.mark.parametrize("knock, barrier", [("down-out", 85.0), ("up-out", 125.0)])
     def test_local_vol_barrier_call_prices_on_euler_prices(self, knock, barrier):
