@@ -18,10 +18,9 @@ is exponentiated, by the same expression as :meth:`BlackScholesMulti.paths`,
 so terminal values are bit-identical to the price grid's last date. A
 barrier comparison can differ from the price-space one only when the path
 lies within rounding of the barrier; none did in about 3 million table3
-and table4 paths (seeds 1-9). W is a (..., N, I) array. For a wide batch
-it is a view over date-major memory: each row's correlating product is
-scaled into it and accumulated date by date, and ``alive`` reads each date
-as one contiguous slab.
+and table4 paths (seeds 1-9). W is a (..., N, I) view over date-major
+memory: each row's correlating product is scaled into it and accumulated
+date by date, and ``alive`` reads each date as one contiguous slab.
 
 Evaluators are pure and vectorized: x may be a single point of length d or
 a row-stacked batch (n, d). Rows are evaluated over fixed chunks (see
@@ -61,12 +60,6 @@ __all__ = [
 # in a different order; on 64-row boundaries every row takes the same code
 # path as in one whole-array call, so chunking changes no bit.
 _ROW_ALIGN = 64
-
-# Rows times assets per date at or above which ``BlackScholesMulti.states``
-# holds W date-major and sums it by a loop over dates. The loop costs about
-# 2 us per date, the row-major cumsum a few ns per element. On full payoff
-# chunks the loop lost at 640 elements per date and won from 1,280.
-_DATE_MAJOR_MIN_ELEMENTS = 1024
 
 
 def chunk_rows(d: int, elements: int = _FILL_CHUNK) -> int:
@@ -188,9 +181,9 @@ class BlackScholesMulti:
     owns the map from normals to W: G in R^(I*N) is read time-major (index
     (j-1)*I + i holds the i-th asset's j-th increment), and ``states(G)``
     has covariance Cov(W^i_{t_j}, W^l_{t_k}) = rho^{1[i != l]} min(t_j, t_k).
-    ``states`` returns W as a (..., N, I) view whose memory is date-major
-    for wide batches; ``terminal``, ``alive`` and ``paths`` give the same
-    bits from either layout.
+    ``states`` returns W as a (..., N, I) view over date-major memory;
+    ``terminal``, ``alive`` and ``paths`` give the same bits from it as
+    from a row-major copy.
     """
 
     spot: np.ndarray
@@ -245,37 +238,29 @@ class BlackScholesMulti:
         """Brownian values W^i_{t_j}, shape (..., N, I); what claims read.
 
         Each row's increments are correlated by a product of their own with
-        ``chol.T``, scaled by sqrt(t_j - t_{j-1}) and summed over dates. For
-        a batch of at least ``_DATE_MAJOR_MIN_ELEMENTS`` rows times assets,
-        and more than one date, the scaling writes the increments into
-        date-major memory (date j of every row is one contiguous (I, rows)
-        slab), a loop adds date j-1 to date j, and the result is a view over
-        that memory. A narrower batch stays row-major and is summed by
-        ``np.cumsum``. Both add the same terms in the same order, so the
-        layout changes no bit.
+        ``chol.T`` and written, scaled by sqrt(t_j - t_{j-1}), into date-major
+        memory (date j of every row is one contiguous (I, rows) slab). A loop
+        adds date j-1 to date j, and the result is a view over that memory.
+        The loop adds the same terms in the same order as ``np.cumsum`` over
+        dates on a row-major array, so the layout changes no bit.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected last dimension {self.dim}, got {x.shape[-1]}")
         n, k = self.n_steps, self.n_assets
         rows = x.reshape(-1, n, k)
-        # One asset needs no 1 x 1 matmul. A product per row keeps each
-        # row's bits independent of the rows beside it, which one stacked
-        # (N, rows, I) product does not.
-        w = rows * self.chol[0, 0] if k == 1 else rows @ self.chol.T
-        # Spelt out per asset: an (N, 1) factor broadcast over I makes numpy
-        # run one I-element inner loop per (row, date), 2-3x slower.
-        scale = np.repeat(np.sqrt(np.diff(self.times, prepend=0.0))[:, None], k, axis=1)
-        if n > 1 and rows.shape[0] * k >= _DATE_MAJOR_MIN_ELEMENTS:
-            slabs = np.empty((n, k, rows.shape[0]))
-            np.multiply(w.transpose(1, 2, 0), scale[:, :, None], out=slabs)
-            for j in range(1, n):
-                slabs[j] += slabs[j - 1]
-            return slabs.transpose(2, 0, 1).reshape(x.shape[:-1] + (n, k))
-        w *= scale
-        if n > 1:
-            np.cumsum(w, axis=-2, out=w)
-        return w.reshape(x.shape[:-1] + (n, k))
+        scale = np.sqrt(np.diff(self.times, prepend=0.0))[:, None, None]
+        slabs = np.empty((n, k, rows.shape[0]))
+        if k == 1:  # no 1 x 1 matmul, and no temporary beside the slabs
+            np.multiply(rows.transpose(1, 2, 0), self.chol[0, 0], out=slabs)
+            slabs *= scale
+        else:
+            # A product per row keeps each row's bits independent of the
+            # rows beside it, which one stacked (N, rows, I) product does not.
+            np.multiply((rows @ self.chol.T).transpose(1, 2, 0), scale, out=slabs)
+        for j in range(1, n):
+            slabs[j] += slabs[j - 1]
+        return slabs.transpose(2, 0, 1).reshape(x.shape[:-1] + (n, k))
 
     def terminal(self, w: np.ndarray) -> np.ndarray:
         """Asset values at maturity, shape (..., I): ``paths(x)[..., -1, :]`` bit for bit.
@@ -293,9 +278,8 @@ class BlackScholesMulti:
             log_ratio = np.log(np.maximum(barriers, 0.0) / self.spot)
         thresholds = (log_ratio - self._log_drift()) / self.vol
         hit = w <= thresholds if up else w >= thresholds
-        if hit.flags.c_contiguous:
-            return hit.all(axis=(-2, -1))
-        # Date-major memory (see :meth:`states`): dates first reads whole slabs.
+        # Dates first: on date-major memory (see :meth:`states`) each date
+        # is one contiguous slab.
         return np.logical_and.reduce(hit, axis=-2).all(axis=-1)
 
     @classmethod

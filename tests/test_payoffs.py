@@ -18,9 +18,9 @@ Claims:
       thresholds on W, equal their price-space definitions bitwise, also on
       paths placed just either side of a barrier; Euler barrier claims
       compare prices directly; ``states`` equals the per-row matmul and
-      cumsum bitwise, by its date loop and by its cumsum, row by row as in
-      a one-row call, and its date-major memory reads the same terminal
-      values, barrier outcomes and prices as a row-major copy
+      cumsum bitwise, also on long grids, row by row as in a one-row call,
+      and its date-major memory reads the same terminal values, barrier
+      outcomes and prices as a row-major copy
     - batches are evaluated over 64-row-aligned row chunks: bit-identical to
       one whole-array call for every claim (payoff and tilted pass), no
       non-finite row is skipped, and the extra memory is bounded by a chunk,
@@ -54,7 +54,6 @@ from tiltmc import (
     tilted_terms,
 )
 from tiltmc.config import builtin_experiment
-from tiltmc import payoffs
 from tiltmc.payoffs import chunk_rows
 
 
@@ -268,9 +267,9 @@ class TestBrownianReads:
     @pytest.mark.parametrize("n_steps", [1, 3, 24])
     @pytest.mark.parametrize("n_assets", [1, 2, 5, 40])
     def test_states_shortcuts_match_matmul_and_cumsum(self, n_assets, n_steps):
-        # One asset skips the per-row 1 x 1 matmul, and wide batches sum
-        # their dates by a loop over date-major memory; neither may change a
-        # bit of the matmul and cumsum.
+        # One asset skips the per-row 1 x 1 matmul, and dates are summed by
+        # a loop over date-major memory; neither may change a bit of the
+        # matmul and cumsum.
         model = BlackScholesMulti.create(n_assets, np.linspace(0.25, 2.0, n_steps), 50.0, 0.2, 0.05, 0.3)
         rng = np.random.default_rng(10 * n_assets + n_steps)
         dt = np.sqrt(np.diff(model.times, prepend=0.0))[:, None]
@@ -296,10 +295,8 @@ class TestBrownianReads:
             assert np.array_equal(batch[row], model.states(x[row : row + 1])[0]), row
             assert np.array_equal(batch[row], model.states(x[row])), row
 
-    @pytest.mark.parametrize("date_major", [True, False], ids=["date-loop", "cumsum"])
     @pytest.mark.parametrize("n_steps, n_assets", [(1000, 1), (252, 5), (50, 10), (24, 5), (3, 2)])
-    def test_both_accumulations_equal_cumsum(self, monkeypatch, n_steps, n_assets, date_major):
-        monkeypatch.setattr(payoffs, "_DATE_MAJOR_MIN_ELEMENTS", 0 if date_major else 1 << 62)
+    def test_date_loop_equals_cumsum(self, n_steps, n_assets):
         model = BlackScholesMulti.create(n_assets, np.linspace(0.01, 1.0, n_steps), 50.0, 0.2, 0.05, 0.3)
         dt = np.sqrt(np.diff(model.times, prepend=0.0))[:, None]
         rng = np.random.default_rng(n_steps + n_assets)
@@ -312,7 +309,7 @@ class TestBrownianReads:
         model, claim = self.CASES[name]
         x = draw_samples(RngStream(14), chunk_rows(model.dim), model.dim).values
         w = model.states(x)
-        assert not w.flags.c_contiguous  # a chunk this wide is held date-major
+        assert not w.flags.c_contiguous  # held date-major
         copy = np.ascontiguousarray(w)
         assert np.array_equal(model.terminal(w), model.terminal(copy))
         alive = model.alive(w, claim.barriers, claim.up)
