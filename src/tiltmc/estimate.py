@@ -5,10 +5,11 @@ The estimator of E[f(G)] under a drift theta is
     M_n(theta) = (1/n) sum_i f(G_i + theta) exp(-theta . G_i - |theta|^2/2),
 
 unbiased for any fixed theta. The pipelines tune theta on the same stored
-samples (modes ``ris`` and ``rris``), on an independent stream
-(``two_stage``), or not at all (``crude``), and attach a CLT interval. Its
-second moment is the variance proxy v_n at the optimum where the tilt was
-tuned on the same samples, and otherwise the summands' sample second moment.
+samples (modes ``ris`` and ``rris``), on the other half of them
+(``two_stage``, cross-fitted), or not at all (``crude``), and attach a CLT
+interval. Its second moment is the variance proxy v_n at the optimum where
+the tilt was tuned on the same samples, and otherwise the summands' sample
+second moment.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from .drift import DriftMap, identity_map
-from .errors import ConvergenceFailure, DimensionMismatch, NonFiniteEstimate, TiltmcError
+from .errors import (
+    ConvergenceFailure,
+    DegeneratePayoff,
+    DimensionMismatch,
+    NonFiniteEstimate,
+    TiltmcError,
+)
 from .gaussian import RngStream, draw_samples
 from .optimize import OptimResult, WeightTable, newton_minimize, precompute_weights
 from .payoffs import Payoff, chunk_rows
@@ -43,11 +50,6 @@ __all__ = [
 ]
 
 MODES = ("crude", "ris", "rris", "two_stage")
-
-# two_stage tunes on stream ``stream_id ^ _OPTIMIZER_STREAM_BIT``. Rows,
-# replications and the reference price number their streams from 0 upward,
-# well below 2**63, so the optimizer never reuses another run's samples.
-_OPTIMIZER_STREAM_BIT = 1 << 63
 
 CSV_COLUMNS = (
     "mode",
@@ -81,8 +83,9 @@ def tilted_terms(table: WeightTable, theta) -> np.ndarray:
         values = np.concatenate(
             [table.payoff(samples.values[lo : lo + step] + theta) for lo in range(0, samples.n, step)]
         )
-        # The likelihood ratio is built in place in one n-vector.
-        terms = samples.values @ theta
+        # The likelihood ratio is built in place in one n-vector; np.dot, not
+        # @, since numpy's matmul takes a per-row loop on a one-column block.
+        terms = np.dot(samples.values, theta)
         np.negative(terms, out=terms)
         terms -= 0.5 * float(theta @ theta)
         np.exp(terms, out=terms)
@@ -130,7 +133,8 @@ def fmt17(x) -> str:
 class EstimateReport:
     """Price estimate with its interval, tilt, and optimizer result.
 
-    ``theta`` and ``optim`` are None in crude mode and on fallback.
+    ``theta`` and ``optim`` are None in crude mode and on fallback; in
+    ``two_stage`` they are those tuned on the first half of the samples.
     ``fallback`` marks a run where the optimizer failed to converge and the
     pipeline degraded to the untilted estimate rather than aborting.
     """
@@ -148,7 +152,6 @@ class EstimateReport:
     fallback: bool
     wall_time: float
     sample_provenance: RngStream
-    optimizer_provenance: RngStream | None
 
     def to_csv_row(self) -> list[str]:
         if self.optim is None:
@@ -212,36 +215,36 @@ def run_pipeline(
     rris
         Same-sample tilt restricted to the supplied drift map's subspace.
     two_stage
-        Tilt optimized on an independent block of the same seed, drawn from
-        the reserved stream ``stream_id ^ 2**63`` with its own table; the
-        main table is used only for the final estimate.
+        Cross-fitted: the table is split at row n // 2, a tilt is tuned on
+        each half, and each half's summands use the tilt tuned on the other
+        half. The n summands are pooled in row order. The report carries the
+        first half's tilt and optimizer result.
 
     Every mode evaluates the same estimator M_n at its tilt (zero for
     crude). ``ris`` and ``rris`` take the second moment from v_n at the
     optimum, as the paper does; crude, ``two_stage`` and a fallback take it
     from the mean of the squared summands. A
-    :class:`ConvergenceFailure` in the optimizer degrades to the crude
-    estimate with ``fallback=True`` and a warning instead of raising, so
-    batch runs keep going.
+    :class:`ConvergenceFailure` in the optimizer (in either half for
+    ``two_stage``) degrades to the crude estimate with ``fallback=True``
+    and a warning instead of raising, so batch runs keep going.
     """
     started = time.perf_counter()
     samples = table.samples
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     optim = theta = None
+    parts = [table]
     if mode != "crude":
         if mode == "rris" and drift is None:
             raise ValueError("rris mode needs a drift map; use mode='ris' for the full space")
         if mode == "ris" or drift is None:
             drift = identity_map(samples.d)
-        opt_table = table
         if mode == "two_stage":
-            stream = samples.provenance
-            opt_stream = RngStream(stream.seed, stream.stream_id ^ _OPTIMIZER_STREAM_BIT)
-            opt_samples = draw_samples(opt_stream, samples.n, samples.d)
-            opt_table = precompute_weights(opt_samples, table.payoff)
+            if samples.n < 2:
+                raise DegeneratePayoff("two_stage needs n >= 2 samples to tune a tilt on each half")
+            parts = [table.rows(0, samples.n // 2), table.rows(samples.n // 2, samples.n)]
         try:
-            optim = newton_minimize(opt_table, drift)
+            optims = [newton_minimize(part, drift) for part in parts]
         except ConvergenceFailure as exc:
             warnings.warn(
                 f"tilt optimization failed ({exc}); falling back to the untilted estimate",
@@ -249,9 +252,16 @@ def run_pipeline(
                 stacklevel=2,
             )
         else:
-            theta = drift.apply(optim.theta)
+            optim = optims[0]
+            tilts = [drift.apply(result.theta) for result in optims]
+            theta = tilts[0]
 
-    terms = tilted_terms(table, np.zeros(samples.d) if theta is None else theta)
+    if optim is None:
+        terms = tilted_terms(table, np.zeros(samples.d))
+    elif mode != "two_stage":
+        terms = tilted_terms(table, theta)
+    else:  # each half's summands take the other half's tilt
+        terms = np.concatenate([tilted_terms(parts[0], tilts[1]), tilted_terms(parts[1], theta)])
     price = float(terms.mean())
     tuned_here = optim is not None and mode != "two_stage"  # tilt tuned on these samples
     second_moment = optim.v_value if tuned_here else float((terms * terms).mean())
@@ -271,7 +281,6 @@ def run_pipeline(
         fallback=mode != "crude" and optim is None,
         wall_time=time.perf_counter() - started,
         sample_provenance=samples.provenance,
-        optimizer_provenance=None if optim is None else opt_table.samples.provenance,
     )
 
 

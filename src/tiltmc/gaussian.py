@@ -94,7 +94,8 @@ class SampleBlock:
 
     ``values`` has shape (n, d) and is read-only; it holds the first n*d
     draws of the ``provenance`` stream, so ``draw_samples(provenance, n, d)``
-    reproduces the block exactly.
+    reproduces the block exactly. A row range of a block
+    (:meth:`WeightTable.rows`) keeps the block's provenance.
     """
 
     values: np.ndarray

@@ -82,12 +82,21 @@ class WeightTable:
     def n(self) -> int:
         return self.values.size
 
+    def rows(self, lo: int, hi: int) -> WeightTable:
+        """Rows lo..hi-1 as a table of their own, with its own ``nonzero``
+        count; its samples and values are views of this table's, not copies."""
+        block = SampleBlock(values=self.samples.values[lo:hi], provenance=self.samples.provenance)
+        return _table(block, self.payoff, self.values[lo:hi])
+
+
+def _table(samples: SampleBlock, payoff: Payoff, values: np.ndarray) -> WeightTable:
+    nonzero = int(np.count_nonzero(values * values > 0.0))
+    return WeightTable(samples=samples, payoff=payoff, values=values, nonzero=nonzero)
+
 
 def precompute_weights(samples: SampleBlock, payoff: Payoff) -> WeightTable:
     """Evaluate f on the stored samples."""
-    values = np.asarray(payoff(samples.values), dtype=np.float64)
-    nonzero = int(np.count_nonzero(values * values > 0.0))
-    return WeightTable(samples=samples, payoff=payoff, values=values, nonzero=nonzero)
+    return _table(samples, payoff, np.asarray(payoff(samples.values), dtype=np.float64))
 
 
 class _Objective:
@@ -128,46 +137,62 @@ class _Objective:
 
     def logits(self, v: np.ndarray) -> np.ndarray:
         """log w_i - A*G_i . v over the nonzero rows."""
-        return self.log_w - np.concatenate([chunk @ v for _, chunk in self.chunks()])
+        # np.dot, not @: numpy's matmul takes a per-row loop for a one-column chunk.
+        return self.log_w - np.concatenate([np.dot(chunk, v) for _, chunk in self.chunks()])
 
-    def moments(self, weights: np.ndarray, center=None):
-        """sum_i weights_i x_i and sum_i weights_i x_i x_i^T over the nonzero
-        rows, where x_i = A*G_i - center and ``weights`` is aligned with
-        ``rows``. Each chunk is shifted and scaled in place, and the chunk
-        sums are added in row order."""
-        d = self.d_reduced
-        first, second = np.zeros(d), np.zeros((d, d))
+    def first_moment(self, weights: np.ndarray, center=None) -> np.ndarray:
+        """sum_i weights_i x_i over the nonzero rows, where x_i = A*G_i - center
+        and ``weights`` is aligned with ``rows``. Each chunk is shifted in
+        place, and the chunk sums are added in row order."""
+        first = np.zeros(self.d_reduced)
         for part, chunk in self.chunks():
             if center is not None:
                 chunk -= center
             first += weights[part] @ chunk
+        return first
+
+    def second_moment(self, weights: np.ndarray, center=None) -> np.ndarray:
+        """sum_i weights_i x_i x_i^T over the same rows and chunks as
+        :meth:`first_moment`, each chunk shifted and scaled in place."""
+        second = np.zeros((self.d_reduced, self.d_reduced))
+        for part, chunk in self.chunks():
+            if center is not None:
+                chunk -= center
             chunk *= np.sqrt(weights[part])[:, None]
             second += chunk.T @ chunk  # numpy runs X.T @ X as one syrk
-        return first, second
+        return second
 
-    def _softmax(self, v: np.ndarray):
+    def value(self, v: np.ndarray):
+        """u_n at v, and the softmax weights p_i = w_i e^{-A*G_i . v} / sum_j
+        over the nonzero rows, which both derivatives at v read."""
         logits = self.logits(v)
         shift = logits.max()
         weights = np.exp(logits - shift)
         total = weights.sum()
-        return shift, weights / total, total
-
-    def value(self, v: np.ndarray) -> float:
-        shift, _, total = self._softmax(v)
         u = 0.5 * v @ (self.gram @ v) + shift + np.log(total)
         if not np.isfinite(u):
             raise NonFiniteObjective(f"objective is not finite at v={v!r}")
-        return float(u)
+        return float(u), weights / total
+
+    def gradient(self, v: np.ndarray, probs: np.ndarray):
+        """The gradient A*A v - m at v, and the softmax mean m of A*G_i."""
+        mean = self.first_moment(probs)
+        grad = self.gram @ v - mean
+        if not np.isfinite(grad).all():
+            raise NonFiniteObjective(f"objective derivatives are not finite at v={v!r}")
+        return grad, mean
+
+    def hessian(self, v: np.ndarray, probs: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        """A*A plus the softmax covariance of A*G_i at v."""
+        hess = self.gram + self.second_moment(probs) - np.outer(mean, mean)
+        if not np.isfinite(hess).all():
+            raise NonFiniteObjective(f"objective derivatives are not finite at v={v!r}")
+        return hess
 
     def value_grad_hess(self, v: np.ndarray):
-        shift, probs, total = self._softmax(v)
-        u = 0.5 * v @ (self.gram @ v) + shift + np.log(total)
-        mean, second = self.moments(probs)
-        grad = self.gram @ v - mean
-        hess = self.gram + second - np.outer(mean, mean)
-        if not (np.isfinite(u) and np.isfinite(grad).all() and np.isfinite(hess).all()):
-            raise NonFiniteObjective(f"objective derivatives are not finite at v={v!r}")
-        return float(u), grad, hess
+        u, probs = self.value(v)
+        grad, mean = self.gradient(v, probs)
+        return u, grad, self.hessian(v, probs, mean)
 
     def v_from_u(self, u: float) -> float:
         v = np.exp(u - np.log(self.n))
@@ -179,12 +204,12 @@ class _Objective:
 def eval_vn(table: WeightTable, drift: DriftMap, theta) -> float:
     """Empirical variance proxy v_n at the reduced parameter theta."""
     obj = _Objective(table, drift)
-    return obj.v_from_u(obj.value(drift._check_reduced(theta)))
+    return obj.v_from_u(obj.value(drift._check_reduced(theta))[0])
 
 
 def eval_un(table: WeightTable, drift: DriftMap, theta) -> float:
     """Reformulated objective u_n = |A theta|^2/2 + log sum_i w_i e^{-A theta . G_i}."""
-    return _Objective(table, drift).value(drift._check_reduced(theta))
+    return _Objective(table, drift).value(drift._check_reduced(theta))[0]
 
 
 def eval_un_derivatives(table: WeightTable, drift: DriftMap, theta):
@@ -231,6 +256,12 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
     which is the typical case: the objective is strongly convex and a
     handful of iterations reaches tolerances near 1e-6.
 
+    Each quantity is computed once per point: the softmax weights of the
+    accepted trial point are kept from the line search, the gradient comes
+    from a mean pass over the nonzero rows, and the second-moment pass that
+    builds the Hessian runs only when the gradient norm is above
+    ``DEFAULT_TOL``, so a k-step solve builds k Hessians.
+
     Raises
     ------
     ConvergenceFailure
@@ -250,11 +281,12 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
         )
     obj = _Objective(table, drift)
     x = np.zeros(obj.d_reduced)
-    u, grad, hess = obj.value_grad_hess(x)
+    u, probs = obj.value(x)
     history = [u]
     safeguarded = False
 
     for iteration in range(DEFAULT_MAX_ITER + 1):
+        grad, mean = obj.gradient(x, probs)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= DEFAULT_TOL:
             return OptimResult(
@@ -267,6 +299,7 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
             )
         if iteration == DEFAULT_MAX_ITER:
             break
+        hess = obj.hessian(x, probs, mean)
         try:
             factor = cho_factor(hess, lower=True)
         except np.linalg.LinAlgError as exc:
@@ -277,8 +310,9 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
         slope = float(grad @ direction)
         step = 1.0
         while True:
-            u_new = obj.value(x + step * direction)
-            if u_new < u + _ARMIJO * step * slope:
+            trial = x + step * direction
+            u_trial, probs = obj.value(trial)
+            if u_trial < u + _ARMIJO * step * slope:
                 break
             step *= 0.5
             if step < _MIN_STEP:
@@ -288,12 +322,11 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
                 )
         if step < 1.0:
             safeguarded = True
-        x = x + step * direction
-        u, grad, hess = obj.value_grad_hess(x)
+        x, u = trial, u_trial
         history.append(u)
 
     raise ConvergenceFailure(
-        f"gradient norm {float(np.linalg.norm(grad)):.3e} after {DEFAULT_MAX_ITER} "
+        f"gradient norm {grad_norm:.3e} after {DEFAULT_MAX_ITER} "
         f"iterations (tolerance {DEFAULT_TOL:.1e})"
     )
 
@@ -313,8 +346,9 @@ def estimate_theta_covariance(table: WeightTable, drift: DriftMap, theta) -> np.
     terms = np.exp(obj.logits(theta) + 0.5 * float(theta @ center))
     if not np.isfinite(terms).all():
         raise NonFiniteObjective("variance-proxy terms overflowed in covariance plug-in")
-    neg_score_sum, cross = obj.moments(terms, center)
-    _, score_sq = obj.moments(terms * terms, center)
+    neg_score_sum = obj.first_moment(terms, center)
+    cross = obj.second_moment(terms, center)
+    score_sq = obj.second_moment(terms * terms, center)
     hessian = (terms.sum() / n) * gram + cross / n
     score_mean = -neg_score_sum / n
     score_cov = score_sq / n - np.outer(score_mean, score_mean)

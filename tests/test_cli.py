@@ -15,8 +15,8 @@ Claims:
       failing mode counts as a failure of that mode only
     - a repeated mode is a config error on 'modes' in every command
     - a parameter row evaluates the payoff once on its block, shared by all
-      modes; each tilted mode adds one pass and two_stage one more on its
-      own block
+      modes; each tilted mode adds one pass over the block, two_stage too
+      (each half with the other half's tilt), and draws no block of its own
 """
 
 import csv
@@ -157,10 +157,12 @@ class TestPayoffPasses:
         total, n_rows = self._rows_evaluated(monkeypatch, ("crude", "ris", "rris"))
         assert total == n_rows * 3 * 500
 
-    def test_two_stage_adds_its_own_block_and_tilted_pass(self, monkeypatch):
+    def test_two_stage_adds_one_tilted_pass(self, monkeypatch):
+        # two_stage tunes on the row block's two halves and evaluates
+        # f(G_i + theta) once per row, with the other half's tilt.
         base, n_rows = self._rows_evaluated(monkeypatch, ("crude", "ris", "rris"))
         total, _ = self._rows_evaluated(monkeypatch, ("crude", "ris", "rris", "two_stage"))
-        assert total - base == n_rows * 2 * 500
+        assert total - base == n_rows * 1 * 500
 
 
 class TestThreadDeterminism:
@@ -327,8 +329,8 @@ class TestCoverage:
         assert "mode=crude" in text and "mode=ris" in text
 
     def test_modes_share_each_replications_block(self, monkeypatch, capsys):
-        # One draw per replication for all three modes, plus two_stage's
-        # tuning block: 2R draws, where one coverage run per mode made 4R.
+        # One draw per replication for all three modes, two_stage included:
+        # R draws, where one coverage run per mode made 4R.
         drawn = []
         inner = tiltmc.estimate.draw_samples
         monkeypatch.setattr(
@@ -337,9 +339,8 @@ class TestCoverage:
         argv = ["coverage", "digital-coverage", "--modes", "crude", "ris", "two_stage",
                 "--replications", "7", "--n", "500", "--format", "csv"]
         assert main(argv) == 0
-        assert len(drawn) == 2 * 7
-        streams = sorted(args[0].stream_id for args in drawn)
-        assert streams == [*range(7), *(r ^ 2**63 for r in range(7))]
+        assert len(drawn) == 7
+        assert sorted(args[0].stream_id for args in drawn) == list(range(7))
 
     def test_failing_mode_counts_for_that_mode_only(self, tmp_path, capsys):
         # The payoff vanishes on every small block: ris cannot tune a tilt,

@@ -11,13 +11,18 @@ Claims:
     - confidence intervals use the documented normal quantile
     - pipelines share one weight table between optimization and estimation,
       run every mode, degrade gracefully, reject non-finite summands in every
-      mode, and are deterministic; two_stage takes its variance from its own
-      summands
+      mode, and are deterministic
+    - two_stage cross-fits: each half of the block, split at row n // 2 by
+      a view with its own nonzero count, takes the tilt tuned on the other
+      half; it pools the n summands in row order, takes its variance from
+      them, and falls back when either half's solve fails
     - repeated same-sample runs cut the variance estimate well below the
       untilted one
     - interval coverage behaves as advertised on degenerate and digital
-      payoffs, and two_stage's interval, built from its own summands, holds
-      the price at the nominal rate on a d = 50 basket
+      payoffs, and two_stage's interval, built from its pooled summands,
+      holds the price at the nominal rate on a d = 50 basket
+    - the block-by-tilt product gives the same bits as a matmul on one-column
+      and wide blocks
     - a coverage run with a drift map that does not fit the payoff is a
       caller error, raised before any replication is drawn
     - under glibc, a repeated block reuses freed heap memory instead of
@@ -50,6 +55,7 @@ from tiltmc import (
     NonFiniteObjective,
     Payoff,
     RngStream,
+    SampleBlock,
     bs_call_price,
     bs_digital_price,
     build_payoff,
@@ -57,15 +63,16 @@ from tiltmc import (
     coverage_experiment,
     draw_samples,
     identity_map,
+    newton_minimize,
     path_drift_multi,
     precompute_weights,
     run_pipeline,
     tilted_terms,
     variance_estimate,
 )
-from tiltmc.cli import _REFERENCE_STREAM_ID
 from tiltmc.config import builtin_experiment
 from tiltmc.estimate import run_block
+from tiltmc.optimize import _Objective
 
 EXP_PAYOFF = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
 
@@ -101,6 +108,23 @@ class TestTiltedMean:
         terms = tilted_terms(precompute_weights(block, payoff), [0.5])
         se = terms.std() / np.sqrt(terms.size)
         assert terms.mean() == approx(bs_call_price(100.0, 100.0, 0.05, 0.2, 1.0), abs=4 * se)
+
+    @pytest.mark.parametrize(
+        "n, d", [(100_000, 1), (6_300, 1), (20_000, 5), (100_000, 120), (512, 500), (20_000, 500)]
+    )
+    def test_block_by_tilt_product_matches_matmul_bits(self, n, d):
+        # tilted_terms and the optimizer's logits take the block-by-tilt
+        # product with np.dot, which skips numpy matmul's per-row loop on a
+        # one-column block. The bits match the matmul's, chunk for chunk.
+        rng = np.random.default_rng(n + d)
+        block = SampleBlock(rng.standard_normal((n, d)), RngStream(0))
+        table = precompute_weights(block, Payoff(d, lambda x: np.ones(x.shape[:-1])))
+        theta = rng.uniform(-0.05, 0.05, d)
+        expected = np.exp(-(block.values @ theta) - 0.5 * float(theta @ theta))
+        assert (tilted_terms(table, theta) == expected).all()
+        obj = _Objective(table, identity_map(d))
+        chunks = [block.values[lo : lo + obj.step] @ theta for lo in range(0, n, obj.step)]
+        assert (obj.logits(theta) == -np.concatenate(chunks)).all()
 
     def test_dimension_check(self):
         table = precompute_weights(draw_samples(RngStream(5, 0), 10, 1), EXP_PAYOFF)
@@ -155,6 +179,18 @@ def _basket_setup(n=10_000, seed=99):
     return precompute_weights(draw_samples(RngStream(seed, 0), n, 40), payoff)
 
 
+def _cross_fit(table):
+    """The two_stage halves of ``table``, their pooled cross-fitted summands
+    in row order, and each half's optimizer result."""
+    half = table.n // 2
+    halves = [table.rows(0, half), table.rows(half, table.n)]
+    tuned = [newton_minimize(h, identity_map(table.samples.d)) for h in halves]
+    terms = np.concatenate(
+        [tilted_terms(halves[0], tuned[1].theta), tilted_terms(halves[1], tuned[0].theta)]
+    )
+    return halves, terms, tuned
+
+
 class TestPipelines:
     def test_crude_price_is_zero_tilt_mean_bitwise(self):
         table = _basket_setup(n=2_000)
@@ -163,33 +199,69 @@ class TestPipelines:
         assert report.theta is None
         assert report.optim is None
 
-    def test_same_samples_feed_optimizer_and_estimate(self):
+    def test_same_samples_feed_optimizer_and_estimate(self, monkeypatch):
+        tuned = []
+        inner = tiltmc.estimate.newton_minimize
+        monkeypatch.setattr(
+            tiltmc.estimate, "newton_minimize", lambda t, drift: tuned.append(t) or inner(t, drift)
+        )
         table = _basket_setup(n=2_000)
         report = run_pipeline(table, "ris")
-        assert report.optimizer_provenance == table.samples.provenance
+        assert len(tuned) == 1 and tuned[0] is table
         assert report.sample_provenance == table.samples.provenance
 
-    def test_two_stage_uses_independent_stream(self):
-        # Rows and coverage replications take stream ids 0, 1, 2, ... and the
-        # reference price takes a reserved id. The optimizer block of any of
-        # those runs must be drawn from a stream none of them uses.
-        payoff = _basket_setup(n=1).payoff
-        used = set(range(64)) | {_REFERENCE_STREAM_ID}
-        for stream_id in sorted(used):
-            block = draw_samples(RngStream(99, stream_id), 200, 40)
-            report = run_pipeline(precompute_weights(block, payoff), "two_stage")
-            assert report.sample_provenance == block.provenance
-            assert report.optimizer_provenance.seed == 99
-            assert report.optimizer_provenance.stream_id not in used
+    def test_two_stage_cross_fits_its_halves(self):
+        # An odd n: the first half has n // 2 rows. Each half is a view of the
+        # block with its own nonzero count, and its summands take the tilt
+        # tuned on the other half; the report carries the first half's tilt.
+        table = _basket_setup(n=2_001)
+        report = run_pipeline(table, "two_stage")
+        halves, terms, tuned = _cross_fit(table)
+        assert [h.n for h in halves] == [1_000, 1_001]
+        for half, (lo, hi) in zip(halves, [(0, 1_000), (1_000, 2_001)]):
+            assert np.shares_memory(half.samples.values, table.samples.values)
+            assert (half.samples.values == table.samples.values[lo:hi]).all()
+            assert np.shares_memory(half.values, table.values)
+            assert (half.values == table.values[lo:hi]).all()
+            assert half.nonzero == np.count_nonzero(table.values[lo:hi])
+        assert (report.theta == tuned[0].theta).all()
+        assert (report.optim.u_history == tuned[0].u_history).all()
+        assert report.price == float(terms.mean())
+        assert report.n == 2_001 and report.sample_provenance == table.samples.provenance
 
     def test_two_stage_variance_comes_from_its_own_terms(self):
-        # The tilt was tuned on another block, so v_n at its minimum says
-        # nothing about these summands: the second moment is their own.
+        # Each half's tilt was tuned on the other half, so v_n at a minimum
+        # says nothing about these summands: the second moment is the pooled
+        # summands' own.
         table = _basket_setup(n=2_000)
         report = run_pipeline(table, "two_stage")
-        terms = tilted_terms(table, report.theta)
+        terms = _cross_fit(table)[1]
         assert report.variance == float((terms * terms).mean()) - report.price * report.price
         assert not report.variance_clamped
+
+    def test_two_stage_falls_back_when_either_half_fails(self, monkeypatch):
+        inner = tiltmc.estimate.newton_minimize
+        table = _basket_setup(n=500)
+        crude = run_pipeline(table, "crude")
+        for failing in (0, 1):
+            calls = []
+
+            def fail_one(t, drift):
+                calls.append(t)
+                if len(calls) - 1 == failing:
+                    raise ConvergenceFailure("forced")
+                return inner(t, drift)
+
+            monkeypatch.setattr(tiltmc.estimate, "newton_minimize", fail_one)
+            with pytest.warns(RuntimeWarning, match="forced"):
+                report = run_pipeline(table, "two_stage")
+            assert report.fallback and report.optim is None and report.theta is None
+            assert (report.price, report.variance) == (crude.price, crude.variance)
+
+    def test_two_stage_needs_a_row_in_each_half(self):
+        table = _basket_setup(n=1)
+        with pytest.raises(DegeneratePayoff, match="n >= 2"):
+            run_pipeline(table, "two_stage")
 
     def test_subspace_mode_uses_supplied_drift(self):
         times = 2.0 / 24.0 * np.arange(1, 25)
@@ -254,7 +326,7 @@ class TestPipelines:
         assert report.fallback
         assert report.mode == "ris"
         assert report.optim is None
-        assert report.optimizer_provenance is None
+        assert report.theta is None
         crude = run_pipeline(table, "crude")
         assert report.price == crude.price
 

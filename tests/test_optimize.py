@@ -11,6 +11,10 @@ Claims:
     - Newton lands on the closed-form minimizer in one step for a single
       sample, converges within a few iterations for the exponential payoff,
       and its accepted objective values strictly decrease
+    - a k-step Newton solve equals, bit for bit, a textbook loop on the
+      public u_n and its derivatives, full steps and shortened ones alike,
+      and builds the second-moment (Hessian) pass k times, once per step
+      taken
     - rescaling all weights shifts u_n by a constant and leaves the
       gradient, Hessian and minimizer unchanged
     - the sandwich covariance reproduces the two Gaussian-moment values
@@ -29,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
+from scipy.linalg import cho_factor, cho_solve
 
 from tiltmc import (
     Basket,
@@ -51,7 +56,7 @@ from tiltmc import (
     precompute_weights,
 )
 from tiltmc.config import parse_config
-from tiltmc.optimize import _OPTIMIZER_CHUNK, _Objective
+from tiltmc.optimize import _ARMIJO, _OPTIMIZER_CHUNK, DEFAULT_TOL, _Objective
 from tiltmc.payoffs import chunk_rows
 
 EXP_PAYOFF = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
@@ -301,6 +306,43 @@ class TestNewton:
         with pytest.warns(RuntimeWarning):
             result = newton_minimize(table, identity_map(1))
         assert result.theta[0] == approx(3.0, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["basket", "cosh"])
+    def test_matches_textbook_loop_with_one_hessian_per_step(self, case, monkeypatch):
+        # The 40-asset basket takes full steps; cosh(3x) needs shortened ones.
+        if case == "basket":
+            model = BlackScholesMulti.create(40, [1.0], 50.0, 0.2, 0.05, 0.2)
+            payoff = build_payoff(model, Basket(weights=np.full(40, 1.0 / 40.0), strike=60.0))
+            table = precompute_weights(draw_samples(RngStream(99, 0), 3_000, 40), payoff)
+        else:
+            payoff = Payoff(1, lambda x: np.cosh(3.0 * x[..., 0]))
+            table = precompute_weights(draw_samples(RngStream(11, 0), 5_000, 1), payoff)
+        drift = identity_map(table.samples.d)
+
+        x = np.zeros(drift.d_reduced)
+        history = [eval_un(table, drift, x)]
+        grad, hess = eval_un_derivatives(table, drift, x)
+        while np.linalg.norm(grad) > DEFAULT_TOL:
+            direction = cho_solve(cho_factor(hess, lower=True), -grad)
+            slope, step = float(grad @ direction), 1.0
+            while eval_un(table, drift, x + step * direction) >= history[-1] + _ARMIJO * step * slope:
+                step *= 0.5
+            x = x + step * direction
+            history.append(eval_un(table, drift, x))
+            grad, hess = eval_un_derivatives(table, drift, x)
+
+        passes = []
+        inner = _Objective.second_moment
+        monkeypatch.setattr(
+            _Objective, "second_moment", lambda obj, *a: passes.append(1) or inner(obj, *a)
+        )
+        result = newton_minimize(table, drift)
+        assert result.iterations == len(history) - 1 >= 3
+        assert result.safeguarded == (case == "cosh")
+        assert (result.theta == x).all()
+        assert (result.u_history == np.array(history)).all()
+        assert result.v_value == eval_vn(table, drift, x)
+        assert len(passes) == result.iterations
 
     def test_deterministic_result(self):
         block = draw_samples(RngStream(12, 0), 1_000, 3)
