@@ -3,7 +3,7 @@
 The package estimates E[f(G)] for a d-dimensional standard normal G by
 tilting the sampling measure with a drift chosen automatically: a strongly
 convex sample-average proxy of the estimator variance is minimized by a few
-Newton steps over a configurable drift subspace, and the same stored
+quasi-Newton steps over a configurable drift subspace, and the same stored
 samples are reused in the final tilted Monte Carlo estimate with a
 CLT-based confidence interval.
 """

@@ -46,11 +46,11 @@ class NonFiniteEstimate(TiltmcError, FloatingPointError):
 
 
 class ConvergenceFailure(TiltmcError, RuntimeError):
-    """Newton iteration did not reach the gradient tolerance."""
+    """The quasi-Newton iteration did not reach the gradient tolerance."""
 
 
 class SingularHessian(TiltmcError, RuntimeError):
-    """Cholesky factorization of the Newton system failed."""
+    """Cholesky factorization of the first Newton system failed."""
 
 
 class BracketFailure(TiltmcError, RuntimeError):

@@ -95,7 +95,10 @@ class SampleBlock:
     ``values`` has shape (n, d) and is read-only; it holds the first n*d
     draws of the ``provenance`` stream, so ``draw_samples(provenance, n, d)``
     reproduces the block exactly. A row range of a block
-    (:meth:`WeightTable.rows`) keeps the block's provenance.
+    (:meth:`WeightTable.rows`) keeps the block's provenance. Only the shape
+    is checked here: draws are always finite, and a hand-built block with a
+    non-finite entry is rejected with ``NonFiniteInput`` by the payoff
+    evaluation that every use of a block starts with.
     """
 
     values: np.ndarray
@@ -104,8 +107,6 @@ class SampleBlock:
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
             raise ValueError("values must be an (n, d) matrix with n, d >= 1")
-        if not np.isfinite(self.values).all():
-            raise ValueError("sample block contains non-finite entries")
         self.values.setflags(write=False)
 
     @property

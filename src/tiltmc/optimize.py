@@ -1,17 +1,20 @@
-"""Sample-average variance-proxy objectives and their Newton minimizer.
+"""Sample-average variance-proxy objectives and their quasi-Newton minimizer.
 
 Shifting the sampling measure by a drift theta = A v multiplies the
 estimator's asymptotic variance term by the empirical proxy
 
     v_n(v) = (1/n) sum_i w_i exp(-A v . G_i + |A v|^2 / 2),   w_i = f(G_i)^2,
 
-which is strongly convex with a unique minimizer. Newton runs instead on
+which is strongly convex with a unique minimizer. The optimizer works instead on
 
     u_n(v) = |A v|^2 / 2 + log sum_i w_i exp(-A v . G_i),
 
 which has the same minimizer (v_n = exp(u_n)/n) but a Hessian bounded below
 by A*A independently of the weights, so the linear systems stay well
-conditioned no matter how small the payoff is.
+conditioned no matter how small the payoff is. It takes one exact Newton
+step and then BFGS steps from that first Hessian (Nocedal & Wright,
+Numerical Optimization, ch. 6), so a solve makes one second-moment pass,
+which costs O(n d'^2).
 
 All softmax-type quantities are computed from max-shifted exponents; zero
 weights are excluded from the logs. Sums over the sample index run over
@@ -228,10 +231,12 @@ def eval_un_derivatives(table: WeightTable, drift: DriftMap, theta):
 class OptimResult:
     """Minimizer of u_n with convergence diagnostics.
 
-    ``u_history`` holds u_n at the initial point and after each accepted
-    step; it is strictly decreasing and ends at the minimum, where
-    ``v_value`` = exp(u_n)/n. ``safeguarded`` flags that at least one
-    Newton step had to be shortened to descend.
+    ``iterations`` counts accepted steps: the exact Newton step from the
+    starting point and the quasi-Newton steps after it. ``u_history`` holds
+    u_n at the initial point and after each accepted step; it is strictly
+    decreasing and ends at the minimum, where ``v_value`` = exp(u_n)/n.
+    ``safeguarded`` flags that at least one step had to be shortened to
+    descend.
     """
 
     theta: np.ndarray
@@ -246,21 +251,39 @@ class OptimResult:
         self.u_history.setflags(write=False)
 
 
-def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
-    """Find the unique minimizer of u_n by safeguarded Newton iteration.
+def _inverse_times(factor, pairs, q: np.ndarray) -> np.ndarray:
+    """The BFGS inverse Hessian times q, by the two-loop recursion (Nocedal
+    & Wright, Alg. 7.4) over the accepted (s, y, 1/y.s) pairs, oldest first,
+    with the exact first Hessian's Cholesky ``factor`` in the middle."""
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q = q - alphas[-1] * y
+    r = cho_solve(factor, q)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r = r + (alpha - rho * (y @ r)) * s
+    return r
 
-    Each step solves H p = -g through a Cholesky factorization (H is
-    symmetric positive definite by the A*A lower bound; no inverse is ever
-    formed) and is then shortened by halving until the Armijo decrease
-    condition holds. Full steps that already descend are taken unchanged,
-    which is the typical case: the objective is strongly convex and a
-    handful of iterations reaches tolerances near 1e-6.
+
+def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
+    """Find the unique minimizer of u_n by safeguarded quasi-Newton iteration.
+
+    The exact Hessian is built once, at the starting point, and factored by
+    Cholesky (it is symmetric positive definite by the A*A lower bound), so
+    the first step is the exact Newton step. Every later direction comes
+    from BFGS updates of that factor: a two-loop recursion over the accepted
+    steps s and gradient changes y, so no inverse is ever formed. A pair
+    with y.s <= 0 is skipped, which keeps the implied inverse positive
+    definite; strong convexity rules such pairs out up to rounding. Each
+    step is shortened by halving until the Armijo decrease condition holds;
+    full steps that already descend are taken unchanged, the typical case.
 
     Each quantity is computed once per point: the softmax weights of the
-    accepted trial point are kept from the line search, the gradient comes
-    from a mean pass over the nonzero rows, and the second-moment pass that
-    builds the Hessian runs only when the gradient norm is above
-    ``DEFAULT_TOL``, so a k-step solve builds k Hessians.
+    accepted trial point are kept from the line search and the gradient
+    comes from a mean pass over the nonzero rows. The second-moment pass
+    that builds the Hessian, several times the cost of a mean pass at large
+    d', runs at most once per solve: only if the starting gradient norm is
+    above ``DEFAULT_TOL``.
 
     Raises
     ------
@@ -282,11 +305,13 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
     obj = _Objective(table, drift)
     x = np.zeros(obj.d_reduced)
     u, probs = obj.value(x)
+    grad, mean = obj.gradient(x, probs)
     history = [u]
     safeguarded = False
+    factor = None
+    pairs = []
 
     for iteration in range(DEFAULT_MAX_ITER + 1):
-        grad, mean = obj.gradient(x, probs)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= DEFAULT_TOL:
             return OptimResult(
@@ -299,14 +324,14 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
             )
         if iteration == DEFAULT_MAX_ITER:
             break
-        hess = obj.hessian(x, probs, mean)
-        try:
-            factor = cho_factor(hess, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian(
-                "Newton system is singular; check the drift map for rank deficiency"
-            ) from exc
-        direction = cho_solve(factor, -grad)
+        if factor is None:
+            try:
+                factor = cho_factor(obj.hessian(x, probs, mean), lower=True)
+            except np.linalg.LinAlgError as exc:
+                raise SingularHessian(
+                    "Newton system is singular; check the drift map for rank deficiency"
+                ) from exc
+        direction = _inverse_times(factor, pairs, -grad)
         slope = float(grad @ direction)
         step = 1.0
         while True:
@@ -322,7 +347,12 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
                 )
         if step < 1.0:
             safeguarded = True
-        x, u = trial, u_trial
+        trial_grad, mean = obj.gradient(trial, probs)
+        s, y = trial - x, trial_grad - grad
+        curvature = float(y @ s)
+        if curvature > 0.0:
+            pairs.append((s, y, 1.0 / curvature))
+        x, u, grad = trial, u_trial, trial_grad
         history.append(u)
 
     raise ConvergenceFailure(

@@ -3,7 +3,8 @@
 Claims:
     - the weight table stores f(G_i) and counts nonzero w_i = f(G_i)^2 (an
       underflowed square counts as zero); the objective squares it and
-      rejects all-zero and non-finite tables
+      rejects all-zero and non-finite tables; a sample block with a
+      non-finite entry fails the payoff evaluation
     - v_n and u_n satisfy v_n = exp(u_n)/n to relative 1e-10 and the
       closed single-sample / two-sample values
     - gradient and Hessian match central finite differences of u_n
@@ -11,10 +12,11 @@ Claims:
     - Newton lands on the closed-form minimizer in one step for a single
       sample, converges within a few iterations for the exponential payoff,
       and its accepted objective values strictly decrease
-    - a k-step Newton solve equals, bit for bit, a textbook loop on the
-      public u_n and its derivatives, full steps and shortened ones alike,
-      and builds the second-moment (Hessian) pass k times, once per step
-      taken
+    - a solve builds the second-moment (Hessian) pass once: its first step
+      is, bit for bit, the first step of a textbook exact-Newton loop on the
+      public u_n and its derivatives, full or shortened, and its BFGS steps
+      after it reach that loop's minimizer within tolerance; a d = d' = 500
+      solve shaped like the basket-ris workload converges within 10 steps
     - rescaling all weights shifts u_n by a constant and leaves the
       gradient, Hessian and minimizer unchanged
     - the sandwich covariance reproduces the two Gaussian-moment values
@@ -40,9 +42,11 @@ from tiltmc import (
     BlackScholesMulti,
     DegeneratePayoff,
     Digital,
+    NonFiniteInput,
     NonFiniteObjective,
     Payoff,
     RngStream,
+    SampleBlock,
     build_payoff,
     dense_map,
     draw_samples,
@@ -61,6 +65,17 @@ from tiltmc.payoffs import chunk_rows
 
 EXP_PAYOFF = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
 ONES_PAYOFF_1D = Payoff(1, lambda x: np.ones(x.shape[:-1]))
+
+
+@pytest.fixture
+def hessian_passes(monkeypatch):
+    """A list that gains one entry per second-moment (Hessian) pass."""
+    passes = []
+    moment = _Objective.second_moment
+    monkeypatch.setattr(
+        _Objective, "second_moment", lambda obj, *a: passes.append(1) or moment(obj, *a)
+    )
+    return passes
 
 
 def _table(values, *, d=None, weights_of=None):
@@ -114,6 +129,15 @@ class TestWeights:
         table = precompute_weights(block, payoff)
         with pytest.raises(NonFiniteObjective):
             newton_minimize(table, identity_map(1))
+
+    def test_non_finite_sample_block_raises(self):
+        # A block is not scanned when built; the payoff evaluation that
+        # every mode starts from rejects it.
+        values = np.zeros((300, 2))
+        values[201, 1] = np.nan
+        block = SampleBlock(values, RngStream(0))
+        with pytest.raises(NonFiniteInput):
+            precompute_weights(block, Payoff(2, lambda x: np.ones(x.shape[:-1])))
 
     def test_basket_has_positive_mass(self):
         # Crude check that the at-the-money basket pays off often enough for
@@ -308,8 +332,14 @@ class TestNewton:
         assert result.theta[0] == approx(3.0, abs=1e-6)
 
     @pytest.mark.parametrize("case", ["basket", "cosh"])
-    def test_matches_textbook_loop_with_one_hessian_per_step(self, case, monkeypatch):
+    def test_matches_textbook_loop_with_one_hessian_per_solve(
+        self, case, hessian_passes, monkeypatch
+    ):
         # The 40-asset basket takes full steps; cosh(3x) needs shortened ones.
+        # The textbook exact-Newton loop on the public u_n and its
+        # derivatives is the oracle: the solve's first step is its first
+        # step bit for bit, and both minimizers lie within 2 * DEFAULT_TOL of
+        # each other, since the Hessian is at least A*A = I here.
         if case == "basket":
             model = BlackScholesMulti.create(40, [1.0], 50.0, 0.2, 0.05, 0.2)
             payoff = build_payoff(model, Basket(weights=np.full(40, 1.0 / 40.0), strike=60.0))
@@ -321,28 +351,50 @@ class TestNewton:
 
         x = np.zeros(drift.d_reduced)
         history = [eval_un(table, drift, x)]
+        trials = []  # every point the line search tries, in order
         grad, hess = eval_un_derivatives(table, drift, x)
         while np.linalg.norm(grad) > DEFAULT_TOL:
             direction = cho_solve(cho_factor(hess, lower=True), -grad)
             slope, step = float(grad @ direction), 1.0
-            while eval_un(table, drift, x + step * direction) >= history[-1] + _ARMIJO * step * slope:
+            while True:
+                trials.append(x + step * direction)
+                if eval_un(table, drift, trials[-1]) < history[-1] + _ARMIJO * step * slope:
+                    break
                 step *= 0.5
-            x = x + step * direction
+            x = trials[-1]
             history.append(eval_un(table, drift, x))
             grad, hess = eval_un_derivatives(table, drift, x)
+            if len(history) == 2:
+                first_step = len(trials)
+        assert len(history) - 1 >= 3
+        assert (first_step > 1) == (case == "cosh")
 
-        passes = []
-        inner = _Objective.second_moment
-        monkeypatch.setattr(
-            _Objective, "second_moment", lambda obj, *a: passes.append(1) or inner(obj, *a)
-        )
+        points = []
+        value = _Objective.value
+        monkeypatch.setattr(_Objective, "value", lambda obj, v: points.append(v) or value(obj, v))
+        hessian_passes.clear()
         result = newton_minimize(table, drift)
-        assert result.iterations == len(history) - 1 >= 3
+        assert len(hessian_passes) == 1
+        assert all((got == want).all() for got, want in zip(points[1:], trials[:first_step]))
+        assert result.u_history[1] == history[1]
+        assert np.all(np.diff(result.u_history) < 0)
         assert result.safeguarded == (case == "cosh")
-        assert (result.theta == x).all()
-        assert (result.u_history == np.array(history)).all()
-        assert result.v_value == eval_vn(table, drift, x)
-        assert len(passes) == result.iterations
+        assert np.linalg.norm(result.theta - x) <= 2 * DEFAULT_TOL
+        assert result.v_value == eval_vn(table, drift, result.theta)
+
+    def test_basket_ris_shaped_solve_takes_one_hessian_pass(self, hessian_passes):
+        # d = d' = 500 as on the basket-ris workload, where a second-moment
+        # pass costs about ten mean passes. The BFGS steps grow in number as
+        # n falls toward d' (about 12 at n = 2,000, 30 at n = 300); the
+        # workload's n = 20,000 block and its 10,000-row halves take 7-8.
+        cfg = Path(__file__).resolve().parent.parent / "perfbench" / "basket_ris.cfg"
+        payoff = parse_config(cfg).payoff()
+        table = precompute_weights(draw_samples(RngStream(3), 6_000, payoff.dim), payoff)
+        result = newton_minimize(table, identity_map(payoff.dim))
+        assert len(hessian_passes) == 1
+        assert 1 < result.iterations <= 10
+        assert result.grad_norm <= DEFAULT_TOL
+        assert np.all(np.diff(result.u_history) < 0)
 
     def test_deterministic_result(self):
         block = draw_samples(RngStream(12, 0), 1_000, 3)
