@@ -16,7 +16,6 @@ from .drift import (
     path_drift_multi,
 )
 from .errors import (
-    BracketFailure,
     ConfigError,
     ConvergenceFailure,
     DegeneratePayoff,
@@ -58,14 +57,7 @@ from .optimize import (
     newton_minimize,
     precompute_weights,
 )
-from .oracles import (
-    QuadratureSpec,
-    bs_call_price,
-    bs_digital_price,
-    bs_put_price,
-    gaussian_expectation,
-    quadrature_theta_star,
-)
+from .oracles import bs_call_price, bs_digital_price, bs_put_price
 from .payoffs import (
     Basket,
     BestOf,

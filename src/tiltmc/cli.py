@@ -44,6 +44,7 @@ from .estimate import (
     CSV_COLUMNS,
     CoverageResult,
     EstimateReport,
+    _coverage,
     fmt17,
     map_threads,
     run_block,
@@ -104,25 +105,18 @@ def emit_report(rows: list[ResultRow], fmt: str, *, timings: bool = False) -> st
     so re-parsing reproduces every float bit-exactly.
     """
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        header = ["experiment", "row", *CSV_COLUMNS]
-        if timings:
-            header.append("wall_time")
-        header.append("error")
-        writer.writerow(header)
+        records = [["experiment", "row", *CSV_COLUMNS, "wall_time", "error"]]
         for row in rows:
             if row.report is None:
-                record = [row.experiment, row.label] + [""] * len(CSV_COLUMNS)
-                if timings:
-                    record.append("")
-                record.append(row.error or "failed")
+                cells = [""] * (len(CSV_COLUMNS) + 1) + [row.error or "failed"]
             else:
-                record = [row.experiment, row.label] + row.report.to_csv_row()
-                if timings:
-                    record.append(fmt17(row.report.wall_time))
-                record.append("")
-            writer.writerow(record)
+                cells = row.report.to_csv_row() + [fmt17(row.report.wall_time), ""]
+            records.append([row.experiment, row.label, *cells])
+        if not timings:  # the wall-time column is opt-in
+            for record in records:
+                del record[-2]
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(records)
         return buffer.getvalue()
 
     header = ["row", "mode", "n", "price", "variance", "ci_low", "ci_high", "iters", "time_s"]
@@ -154,7 +148,7 @@ def reference_price(spec: ExperimentSpec, *, n_ref: int = 2_000_000) -> float:
     """Reference value for coverage runs: closed form when available,
     otherwise an untilted estimate on a reserved high-n stream.
 
-    The closed forms cover one lognormal asset: an upper digital, and a
+    The closed forms cover one lognormal asset: a digital, and a
     basket without barriers whose weight w and strike K have w K > 0,
     which is |w| times the call (w > 0) or put (w < 0) struck at K / w.
     """
@@ -164,8 +158,9 @@ def reference_price(spec: ExperimentSpec, *, n_ref: int = 2_000_000) -> float:
         spot = float(model.spot[0])
         vol = float(model.vol[0])
         rate, maturity = model.rate, model.maturity
-        if isinstance(claim, Digital) and claim.above:
-            return bs_digital_price(spot, claim.level, rate, vol, maturity)
+        if isinstance(claim, Digital):  # a below digital pays the bond less the above one
+            above = bs_digital_price(spot, claim.level, rate, vol, maturity)
+            return above if claim.above else float(np.exp(-rate * maturity)) - above
         if isinstance(claim, Basket) and claim.barriers is None:
             w = float(np.ravel(claim.weights)[0])
             if w * claim.strike > 0:
@@ -328,15 +323,10 @@ def main(argv=None) -> int:
             )
         fmt = args.format or spec.out_format
         reference = reference_price(spec)
-        payoff, drift = spec.payoff(), spec.drift()
-        per_replication = map_threads(
-            lambda rep: run_block(
-                payoff, drift, RngStream(spec.seed, rep), spec.n, spec.modes, level=spec.level
-            ),
-            range(replications),
-            threads,
+        results = _coverage(
+            spec.payoff(), spec.drift(), spec.n, spec.seed, spec.modes, reference,
+            replications, spec.level, threads,
         )
-        results = [CoverageResult.tally(outcomes, reference) for outcomes in zip(*per_replication)]
         blocks = [
             _emit_coverage(name, rows[0].label, mode, spec, reference, result, fmt)
             for mode, result in zip(spec.modes, results)

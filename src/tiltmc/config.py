@@ -179,6 +179,28 @@ def _read_sections(path) -> dict[str, _Section]:
     return sections
 
 
+def _finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
+def _finite_list(value: str) -> np.ndarray:
+    return np.array([_finite(token) for token in value.split()])
+
+
+def _one_of(choices):
+    """A parser that accepts only ``choices``, or any string when None."""
+
+    def parse(value: str) -> str:
+        if choices and value not in choices:
+            raise ValueError(value)
+        return value
+
+    return parse
+
+
 class _Fields:
     """Typed, consume-once access to one section's keys."""
 
@@ -186,71 +208,36 @@ class _Fields:
         self.name = name
         self.section = dict(section)
 
-    def _take(self, key, required, default):
-        if key in self.section:
-            value, line = self.section.pop(key)
-            return value, line
-        if required:
-            raise ConfigError(f"missing required key '{key}' in [{self.name}]", field=key)
-        return default, None
+    def _get(self, key, parse, what, required, default):
+        """``parse`` of the key's value, which raises ValueError unless the
+        value is ``what``; ``default`` when the key is absent."""
+        if key not in self.section:
+            if required:
+                raise ConfigError(f"missing required key '{key}' in [{self.name}]", field=key)
+            return default
+        value, line = self.section.pop(key)
+        try:
+            return parse(value)
+        except ValueError:
+            message = f"'{key}' must be {what}; got {value!r}"
+            raise ConfigError(message, line=line, field=key) from None
 
     def string(self, key, *, required=False, default=None, choices=None) -> str | None:
-        value, line = self._take(key, required, default)
-        if value is None:
-            return None
-        value = str(value)
-        if choices and value not in choices:
-            raise ConfigError(
-                f"'{key}' must be one of {', '.join(choices)}; got {value!r}",
-                line=line,
-                field=key,
-            )
-        return value
+        what = f"one of {', '.join(choices or ())}"
+        return self._get(key, _one_of(choices), what, required, default)
 
     def number(self, key, *, required=False, default=None) -> float | None:
-        value, line = self._take(key, required, default)
-        if value is None or isinstance(value, float):
-            return value
-        try:
-            number = float(value)
-            if math.isfinite(number):
-                return number
-        except ValueError:
-            pass
-        raise ConfigError(f"'{key}' must be a finite number; got {value!r}", line=line, field=key)
+        return self._get(key, _finite, "a finite number", required, default)
 
     def integer(self, key, *, required=False, default=None) -> int | None:
-        value, line = self._take(key, required, default)
-        if value is None or isinstance(value, int):
-            return value
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"'{key}' must be an integer; got {value!r}", line=line, field=key)
+        return self._get(key, int, "an integer", required, default)
 
     def vector(self, key, *, required=False, default=None) -> np.ndarray | None:
-        value, line = self._take(key, required, default)
-        if value is None:
-            return None
-        if isinstance(value, np.ndarray):
-            return value
-        try:
-            values = np.array([float(tok) for tok in value.split()], dtype=np.float64)
-            if np.isfinite(values).all():
-                return values
-        except ValueError:
-            pass
-        raise ConfigError(
-            f"'{key}' must be a finite number or whitespace-separated list; got {value!r}",
-            line=line,
-            field=key,
-        )
+        what = "a finite number or whitespace-separated list"
+        return self._get(key, _finite_list, what, required, default)
 
     def words(self, key, *, required=False, default=None) -> tuple[str, ...] | None:
-        value, line = self._take(key, required, default)
-        if value is None or isinstance(value, tuple):
-            return value
-        return tuple(value.split())
+        return self._get(key, lambda value: tuple(value.split()), "words", required, default)
 
     def finish(self):
         if self.section:
@@ -474,26 +461,15 @@ def builtin_experiment(name: str, *, n=None, seed=None, modes=None) -> list[Expe
     rows = []
     for label, model, claim in points():
         spec = ExperimentSpec(
-            label=label,
-            model=model,
-            claim=claim,
-            drift_kind=drift_kind,
-            modes=default_modes if modes is None else tuple(modes),
-            n=default_n if n is None else n,
-            seed=_DEFAULT_SEED if seed is None else seed,
+            label, model, claim, drift_kind, default_modes, default_n, _DEFAULT_SEED,
             replications=replications,
         )
-        rows.append(ExperimentRow(label=label, spec=spec))
+        rows.append(ExperimentRow(label, with_overrides(spec, n=n, seed=seed, modes=modes)))
     return rows
 
 
 def with_overrides(spec: ExperimentSpec, *, n=None, seed=None, modes=None):
     """Copy of ``spec`` with selected run parameters replaced."""
-    updates = {}
-    if n is not None:
-        updates["n"] = n
-    if seed is not None:
-        updates["seed"] = seed
-    if modes is not None:
-        updates["modes"] = tuple(modes)
+    updates = dict(n=n, seed=seed, modes=None if modes is None else tuple(modes))
+    updates = {key: value for key, value in updates.items() if value is not None}
     return replace(spec, **updates) if updates else spec

@@ -53,10 +53,6 @@ class SingularHessian(TiltmcError, RuntimeError):
     """Cholesky factorization of the first Newton system failed."""
 
 
-class BracketFailure(TiltmcError, RuntimeError):
-    """Scalar minimization scan found no interior minimum."""
-
-
 class ConfigError(TiltmcError, ValueError):
     """Configuration file could not be parsed or validated.
 

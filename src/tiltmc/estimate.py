@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,33 +285,14 @@ def run_pipeline(
 
 def map_threads(fn, items, threads: int) -> list:
     """``[fn(item) for item in items]``, on ``threads`` workers when there is
-    more than one of each; results keep the order of ``items``. A call made
-    on one of these workers runs serially, since it would otherwise wait for
-    the pool it occupies. No item is still running when this returns or
-    raises."""
+    more than one of each; results keep the order of ``items``. Each call
+    starts its own pool, so a call made on a worker cannot wait for the pool
+    it occupies. No item is still running when this returns or raises."""
     items = list(items)
-    on_worker = threading.current_thread().name.startswith(_WORKER_PREFIX)
-    if threads <= 1 or len(items) <= 1 or on_worker:
+    if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    futures = [_pool(threads).submit(fn, item) for item in items]
-    try:
-        return [future.result() for future in futures]
-    finally:  # after an error: drop the items not started, finish the rest
-        for future in futures:
-            future.cancel()
-        wait(futures)
-
-
-_WORKER_PREFIX = "tiltmc-worker"
-
-
-@functools.cache
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """One pool per worker count, kept for the process. A pool started right
-    after another one's workers exit can be given a fresh glibc arena and
-    fault a block's memory in again (about 1,100 minor faults on the
-    digital-coverage block)."""
-    return ThreadPoolExecutor(threads, thread_name_prefix=f"{_WORKER_PREFIX}-{threads}")
+    with ThreadPoolExecutor(threads) as pool:  # an error cancels the items not started
+        return list(pool.map(fn, items))
 
 
 def run_block(
@@ -408,9 +388,15 @@ def coverage_experiment(
         raise DimensionMismatch(
             f"drift map has dimension {drift.d} but the payoff has dimension {payoff.dim}"
         )
-    outcomes = map_threads(
-        lambda rep: run_block(payoff, drift, RngStream(seed, rep), n, (mode,), level=level)[0],
+    return _coverage(payoff, drift, n, seed, (mode,), reference, replications, level, threads)[0]
+
+
+def _coverage(payoff, drift, n, seed, modes, reference, replications, level, threads):
+    """Each mode's :class:`CoverageResult` over ``replications`` :func:`run_block`
+    calls, the r-th on stream (seed, r), every mode on that call's one block."""
+    per_replication = map_threads(
+        lambda rep: run_block(payoff, drift, RngStream(seed, rep), n, modes, level=level),
         range(replications),
         threads,
     )
-    return CoverageResult.tally(outcomes, reference)
+    return [CoverageResult.tally(outcomes, reference) for outcomes in zip(*per_replication)]

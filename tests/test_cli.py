@@ -8,11 +8,12 @@ Claims:
     - exit codes: 0 success, 2 config error, 3 numerical failure
     - environment variables override seed and thread count
     - the reference price is the closed form for a one-asset lognormal
-      digital, call, put or positively scaled basket, and a sampled
-      estimate otherwise (a barrier call, a multi-asset basket)
+      digital (above or below), call, put or positively scaled basket, and a
+      sampled estimate otherwise (a barrier call, a multi-asset basket)
     - coverage subcommand reports hits against the closed-form reference for
-      every listed mode; all modes run on each replication's one block, and a
-      failing mode counts as a failure of that mode only
+      every listed mode; all modes run on each replication's one block, each
+      mode's row equals coverage_experiment for that mode, and a failing mode
+      counts as a failure of that mode only
     - a repeated mode is a config error on 'modes' in every command
     - a parameter row evaluates the payoff once on its block, shared by all
       modes; each tilted mode adds one pass over the block, two_stage too
@@ -24,6 +25,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import tiltmc.estimate
 import tiltmc.payoffs
@@ -342,6 +344,24 @@ class TestCoverage:
         assert len(drawn) == 7
         assert sorted(args[0].stream_id for args in drawn) == list(range(7))
 
+    def test_each_mode_row_is_that_modes_coverage_experiment(self, capsys):
+        argv = ["coverage", "digital-coverage", "--modes", "crude", "ris", "two_stage",
+                "--replications", "8", "--n", "500", "--threads", "2", "--format", "csv"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        spec = builtin_experiment("digital-coverage")[0].spec
+        reference = reference_price(spec)
+        for row, mode in zip(rows, ["crude", "ris", "two_stage"], strict=True):
+            result = tiltmc.estimate.coverage_experiment(
+                spec.payoff(), mode, 500, spec.seed, reference,
+                replications=8, drift=spec.drift(), level=spec.level,
+            )
+            assert row["mode"] == mode
+            assert [row[key] for key in ("replications", "hits", "failures", "empirical_level")] == [
+                str(result.replications), str(result.hits), str(result.failures),
+                format(result.empirical_level, ".17g"),
+            ]
+
     def test_failing_mode_counts_for_that_mode_only(self, tmp_path, capsys):
         # The payoff vanishes on every small block: ris cannot tune a tilt,
         # while crude reports a zero price with a zero-width interval.
@@ -363,6 +383,18 @@ class TestReferencePrice:
     def test_digital_uses_closed_form(self, tmp_path):
         spec = parse_config(_digital_config(tmp_path))
         assert reference_price(spec) == bs_digital_price(100.0, 140.0, 0.05, 0.2, 1.0)
+
+    def test_below_digital_uses_closed_form(self, tmp_path):
+        # The digital-coverage model at level 80: exp(-r T) N(-d2).
+        path = tmp_path / "below.cfg"
+        path.write_text(DIGITAL_CFG.replace("level = 140", "level = 80\ndirection = below"))
+        below = reference_price(parse_config(str(path)))
+        d2 = (np.log(100.0 / 80.0) + (0.05 - 0.02) * 1.0) / 0.2
+        assert below == pytest.approx(np.exp(-0.05) * ndtr(-d2), abs=1e-12)
+        assert below == pytest.approx(0.0977931, abs=1e-7)
+        path.write_text(DIGITAL_CFG.replace("level = 140", "level = 80"))
+        above = reference_price(parse_config(str(path)))
+        assert above + below == pytest.approx(np.exp(-0.05), abs=1e-15)
 
     @pytest.mark.parametrize(
         "claim, expected",

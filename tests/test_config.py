@@ -309,6 +309,47 @@ modes = crude rris
         assert (bumped.n, bumped.seed, bumped.modes) == (5000, 1, ("crude",))
         assert spec.n == 1000  # original untouched
 
+    @pytest.mark.parametrize(
+        "old, new, message, line, field",
+        [
+            ("kind = bs", "kind = heston", "'kind' must be one of bs, localvol; got 'heston'", 3, "kind"),
+            ("maturity = 1", "maturity = soon", "'maturity' must be a finite number; got 'soon'", 4, "maturity"),
+            ("rate = 0.05", "rate = nan", "'rate' must be a finite number; got 'nan'", 7, "rate"),
+            ("maturity = 1", "assets = 1.5\nmaturity = 1", "'assets' must be an integer; got '1.5'", 4, "assets"),
+            (
+                "spot = 100", "spot = 100 abc",
+                "'spot' must be a finite number or whitespace-separated list; got '100 abc'", 5, "spot",
+            ),
+            ("rate = 0.05\n", "", "missing required key 'rate' in [model]", None, "rate"),
+            ("level = 140", "level = high", "'level' must be a finite number; got 'high'", 11, "level"),
+            ("level = 140", "level = nan", "'level' must be a finite number; got 'nan'", 11, "level"),
+            (
+                "kind = digital\nlevel = 140", "kind = basket\nweights = 1 x",
+                "'weights' must be a finite number or whitespace-separated list; got '1 x'", 11, "weights",
+            ),
+            (
+                "level = 140", "level = 140\ndirection = sideways",
+                "'direction' must be one of above, below; got 'sideways'", 12, "direction",
+            ),
+            ("level = 140\n", "", "missing required key 'level' in [claim]", None, "level"),
+            ("n = 1000", "n = 1e3", "'n' must be an integer; got '1e3'", 14, "n"),
+            ("seed = 7", "seed = 7\nlevel = nan", "'level' must be a finite number; got 'nan'", 16, "level"),
+            ("seed = 7", "seed = 7\nformat = xml", "'format' must be one of text, csv; got 'xml'", 16, "format"),
+            ("seed = 7\n", "", "missing required key 'seed' in [run]", None, "seed"),
+        ],
+        ids=[
+            "model-choice", "model-number", "model-nan", "model-integer", "model-list",
+            "model-missing", "claim-number", "claim-nan", "claim-list", "claim-choice",
+            "claim-missing", "run-integer", "run-nan", "run-choice", "run-missing",
+        ],
+    )
+    def test_typed_value_errors(self, tmp_path, old, new, message, line, field):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, MINIMAL_DIGITAL.replace(old, new)))
+        prefix = ", ".join(([f"line {line}"] if line else []) + [f"field '{field}'"])
+        assert str(err.value) == f"[{prefix}] {message}"
+        assert (err.value.line, err.value.field) == (line, field)
+
     def test_block_over_sample_budget_names_n(self, tmp_path):
         spec = parse_config(_write(tmp_path, MINIMAL_DIGITAL))
         for build in (

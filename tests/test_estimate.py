@@ -28,9 +28,9 @@ Claims:
     - under glibc, a repeated block reuses freed heap memory instead of
       faulting it back in, on the main thread and on worker threads; the
       allocator policy is set once and is skipped without glibc
-    - threaded runs reuse one pool per worker count, a threaded call made
-      on a worker runs serially instead of waiting for its own pool, and an
-      error returns only after every item already started has finished
+    - each threaded call starts its own pool: back-to-back calls agree, a
+      threaded call made on a worker does not wait for the pool it runs on,
+      and an error returns only after every item already started has finished
 """
 
 import ctypes
@@ -277,7 +277,7 @@ class TestPipelines:
         # Optimal tilt makes the exponential estimator exact: the variance
         # proxy at the minimizer approaches the squared mean. The crude
         # variance reference E f^2 - (E f)^2 comes from quadrature.
-        from tiltmc import gaussian_expectation
+        from quadrature import gaussian_expectation
 
         table = precompute_weights(draw_samples(RngStream(7, 0), 50_000, 1), EXP_PAYOFF)
         report = run_pipeline(table, "ris")
@@ -450,33 +450,15 @@ class TestCoverage:
     def test_thread_count_does_not_change_outcome(self):
         payoff = Payoff(1, lambda x: np.abs(x[..., 0]))
         serial = coverage_experiment(payoff, "ris", 500, 9, 0.7978845608, replications=40)
-        threaded = coverage_experiment(
-            payoff, "ris", 500, 9, 0.7978845608, replications=40, threads=4
-        )
-        assert serial == threaded
-
-    def test_back_to_back_runs_share_one_pool(self):
-        # A fresh pool per call could be given a fresh glibc arena and fault
-        # a block's memory in again.
-        workers = set()
-
-        def payoff_fn(x):
-            workers.add(threading.current_thread().name)
-            return np.abs(x[..., 0])
-
-        payoff = Payoff(1, payoff_fn)
-        results = [
-            coverage_experiment(payoff, "ris", 500, 9, 0.7978845608, replications=6, threads=2)
-            for _ in range(3)
+        back_to_back = [
+            coverage_experiment(payoff, "ris", 500, 9, 0.7978845608, replications=40, threads=4)
+            for _ in range(2)
         ]
-        assert results[0] == results[1] == results[2]
-        assert 1 <= len(workers) <= 2
-        alive = [t for t in threading.enumerate() if t.name in workers]
-        assert len(alive) <= 2
+        assert serial == back_to_back[0] == back_to_back[1]
 
-    def test_call_from_a_worker_runs_serially(self):
-        # Nested on the same two workers, a pooled inner call would wait for
-        # the outer items that occupy them.
+    def test_call_from_a_worker_gets_its_own_pool(self):
+        # Each call starts its own pool, so an inner call never waits for the
+        # outer items that occupy the outer pool's workers.
         def outer(i):
             return tiltmc.estimate.map_threads(lambda j: (i, j), range(3), 2)
 

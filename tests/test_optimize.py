@@ -203,7 +203,7 @@ class TestObjectives:
         # the tilt-absorbing quadrature e^{theta^2} E f^2(G - theta) and the
         # closed form exp((2*0.2 - theta)^2/2 + theta^2/2). They agree, and
         # the sampled value matches both to Monte Carlo accuracy.
-        from tiltmc import gaussian_expectation
+        from quadrature import gaussian_expectation
 
         block = draw_samples(RngStream(314, 0), 100_000, 1)
         table = precompute_weights(block, EXP_PAYOFF)

@@ -14,21 +14,18 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from quadrature import BracketFailure, QuadratureSpec, gaussian_expectation, quadrature_theta_star
 from tiltmc import (
-    BracketFailure,
     Payoff,
-    QuadratureSpec,
     RngStream,
     bs_call_price,
     bs_digital_price,
     bs_put_price,
     draw_samples,
     estimate_theta_covariance,
-    gaussian_expectation,
     identity_map,
     newton_minimize,
     precompute_weights,
-    quadrature_theta_star,
 )
 
 

@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "Basket",
     "BestOf",
     "BlackScholesMulti",
-    "BracketFailure",
     "ConfigError",
     "ConstantVol",
     "ConvergenceFailure",
@@ -30,7 +29,6 @@ PUBLIC_NAMES = [
     "OptimResult",
     "Payoff",
     "PowerLawVol",
-    "QuadratureSpec",
     "RankDeficientDriftMap",
     "RngStream",
     "SampleBlock",
@@ -52,14 +50,12 @@ PUBLIC_NAMES = [
     "eval_un",
     "eval_un_derivatives",
     "eval_vn",
-    "gaussian_expectation",
     "identity_map",
     "load_dense_map",
     "newton_minimize",
     "normal_draws",
     "path_drift_multi",
     "precompute_weights",
-    "quadrature_theta_star",
     "run_pipeline",
     "tilted_terms",
     "variance_estimate",
@@ -77,4 +73,4 @@ def _exports():
 
 def test_public_names_snapshot():
     assert _exports() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 56
+    assert len(PUBLIC_NAMES) == 52
