@@ -13,14 +13,16 @@ which has the same minimizer (v_n = exp(u_n)/n) but a Hessian bounded below
 by A*A independently of the weights, so the linear systems stay well
 conditioned no matter how small the payoff is. It takes one exact Newton
 step and then BFGS steps from that first Hessian (Nocedal & Wright,
-Numerical Optimization, ch. 6), so a solve makes one second-moment pass,
-which costs O(n d'^2).
+Numerical Optimization, ch. 6). Each point it evaluates costs one pass over
+the nonzero-weight rows, O(n d'), which gives u_n and its gradient; only
+the first pass also builds the Hessian, O(n d'^2).
 
-All softmax-type quantities are computed from max-shifted exponents; zero
-weights are excluded from the logs. Sums over the sample index run over
-fixed chunks of the nonzero-weight rows, sized by d' alone, and the
-per-chunk sums are added in row order. They never depend on worker
-threads, so optimizer output is bit-reproducible for a given sample block.
+All softmax-type quantities are computed from exponents shifted by a
+running maximum; zero weights are excluded from the logs. Sums over the
+sample index run over fixed chunks of the nonzero-weight rows, sized by d'
+alone, and the per-chunk sums are added in row order. They never depend on
+worker threads, so optimizer output is bit-reproducible for a given sample
+block.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 
 from .drift import DriftMap
 from .errors import (
@@ -107,10 +110,11 @@ class _Objective:
 
     Holds log w_i and the indices ``rows`` of the nonzero-weight samples,
     and ``source`` = A*G for the whole block; for A = I that is the block
-    itself, so nothing is copied. Every pass gathers the rows A*G_i of one
+    itself, so nothing is copied. A pass gathers the rows A*G_i of one
     fixed chunk of ``rows`` at a time (see ``_OPTIMIZER_CHUNK``), so it
-    holds at most one chunk of them beyond O(n + d'^2), and an iteration
-    costs O(n d'^2), not O(n d d').
+    holds at most two chunks of them (the one in use and the next) beyond
+    O(n + d'^2). A point costs O(n_nz d'), and a Hessian O(n_nz d'^2), not
+    O(n d d').
     Raises NonFiniteObjective if some w_i = f(G_i)^2 is not finite, and
     DegeneratePayoff if every w_i is zero (u_n then has no minimizer).
     """
@@ -138,64 +142,51 @@ class _Objective:
             part = slice(lo, lo + self.step)
             yield part, self.source[self.rows[part]]
 
-    def logits(self, v: np.ndarray) -> np.ndarray:
-        """log w_i - A*G_i . v over the nonzero rows."""
-        # np.dot, not @: numpy's matmul takes a per-row loop for a one-column chunk.
-        return self.log_w - np.concatenate([np.dot(chunk, v) for _, chunk in self.chunks()])
+    def evaluate(self, v: np.ndarray, hessian: bool = False):
+        """(u_n, its gradient A*A v - m, and with ``hessian`` its Hessian
+        A*A + C, else None) at v, where m and C are the mean and covariance
+        of A*G_i under the softmax weights p_i ~ w_i e^{-A*G_i . v}.
 
-    def first_moment(self, weights: np.ndarray, center=None) -> np.ndarray:
-        """sum_i weights_i x_i over the nonzero rows, where x_i = A*G_i - center
-        and ``weights`` is aligned with ``rows``. Each chunk is shifted in
-        place, and the chunk sums are added in row order."""
+        One pass gathers each chunk once. Its exponents are shifted by the
+        largest logit seen so far, and the sums are rescaled by exp(old - new)
+        when a chunk raises it (an online softmax normalizer, Milakov &
+        Gimelshein 2018), so no exp overflows and no n-vector is kept.
+        """
+        shift, total = -np.inf, 0.0
         first = np.zeros(self.d_reduced)
+        second = np.zeros((self.d_reduced, self.d_reduced), order="F") if hessian else None
         for part, chunk in self.chunks():
-            if center is not None:
-                chunk -= center
-            first += weights[part] @ chunk
-        return first
-
-    def second_moment(self, weights: np.ndarray, center=None) -> np.ndarray:
-        """sum_i weights_i x_i x_i^T over the same rows and chunks as
-        :meth:`first_moment`, each chunk shifted and scaled in place."""
-        second = np.zeros((self.d_reduced, self.d_reduced))
-        for part, chunk in self.chunks():
-            if center is not None:
-                chunk -= center
-            chunk *= np.sqrt(weights[part])[:, None]
-            second += chunk.T @ chunk  # numpy runs X.T @ X as one syrk
-        return second
-
-    def value(self, v: np.ndarray):
-        """u_n at v, and the softmax weights p_i = w_i e^{-A*G_i . v} / sum_j
-        over the nonzero rows, which both derivatives at v read."""
-        logits = self.logits(v)
-        shift = logits.max()
-        weights = np.exp(logits - shift)
-        total = weights.sum()
+            # np.dot, not @: numpy's matmul takes a per-row loop for a one-column chunk.
+            logits = self.log_w[part] - np.dot(chunk, v)
+            top = logits.max()
+            if top > shift:
+                scale = np.exp(shift - top)
+                total *= scale
+                first *= scale
+                if hessian:
+                    second *= scale
+                shift = top
+            e = np.exp(logits - shift)
+            total += e.sum()
+            first += e @ chunk
+            if hessian:
+                chunk *= np.sqrt(e)[:, None]
+                # BLAS adds c.T @ c to the lower triangle of ``second`` in place,
+                # without the full-matrix temporary of numpy's c.T @ c.
+                second = dsyrk(1.0, chunk.T, beta=1.0, c=second, lower=1, overwrite_c=1)
         u = 0.5 * v @ (self.gram @ v) + shift + np.log(total)
         if not np.isfinite(u):
             raise NonFiniteObjective(f"objective is not finite at v={v!r}")
-        return float(u), weights / total
-
-    def gradient(self, v: np.ndarray, probs: np.ndarray):
-        """The gradient A*A v - m at v, and the softmax mean m of A*G_i."""
-        mean = self.first_moment(probs)
+        mean = first / total
         grad = self.gram @ v - mean
-        if not np.isfinite(grad).all():
+        if hessian:  # mirror the lower triangle, then A*A + second / total - m m^T
+            second += np.tril(second, -1).T
+            second /= total
+            second += self.gram
+            second -= np.outer(mean, mean)
+        if not (np.isfinite(grad).all() and (second is None or np.isfinite(second).all())):
             raise NonFiniteObjective(f"objective derivatives are not finite at v={v!r}")
-        return grad, mean
-
-    def hessian(self, v: np.ndarray, probs: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        """A*A plus the softmax covariance of A*G_i at v."""
-        hess = self.gram + self.second_moment(probs) - np.outer(mean, mean)
-        if not np.isfinite(hess).all():
-            raise NonFiniteObjective(f"objective derivatives are not finite at v={v!r}")
-        return hess
-
-    def value_grad_hess(self, v: np.ndarray):
-        u, probs = self.value(v)
-        grad, mean = self.gradient(v, probs)
-        return u, grad, self.hessian(v, probs, mean)
+        return float(u), grad, second
 
     def v_from_u(self, u: float) -> float:
         v = np.exp(u - np.log(self.n))
@@ -207,12 +198,12 @@ class _Objective:
 def eval_vn(table: WeightTable, drift: DriftMap, theta) -> float:
     """Empirical variance proxy v_n at the reduced parameter theta."""
     obj = _Objective(table, drift)
-    return obj.v_from_u(obj.value(drift._check_reduced(theta))[0])
+    return obj.v_from_u(obj.evaluate(drift._check_reduced(theta))[0])
 
 
 def eval_un(table: WeightTable, drift: DriftMap, theta) -> float:
     """Reformulated objective u_n = |A theta|^2/2 + log sum_i w_i e^{-A theta . G_i}."""
-    return _Objective(table, drift).value(drift._check_reduced(theta))[0]
+    return _Objective(table, drift).evaluate(drift._check_reduced(theta))[0]
 
 
 def eval_un_derivatives(table: WeightTable, drift: DriftMap, theta):
@@ -223,7 +214,7 @@ def eval_un_derivatives(table: WeightTable, drift: DriftMap, theta):
     A*A plus the softmax-weighted covariance of A*G, hence bounded below by
     A*A.
     """
-    _, grad, hess = _Objective(table, drift).value_grad_hess(drift._check_reduced(theta))
+    _, grad, hess = _Objective(table, drift).evaluate(drift._check_reduced(theta), hessian=True)
     return grad, hess
 
 
@@ -278,12 +269,11 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
     step is shortened by halving until the Armijo decrease condition holds;
     full steps that already descend are taken unchanged, the typical case.
 
-    Each quantity is computed once per point: the softmax weights of the
-    accepted trial point are kept from the line search and the gradient
-    comes from a mean pass over the nonzero rows. The second-moment pass
-    that builds the Hessian, several times the cost of a mean pass at large
-    d', runs at most once per solve: only if the starting gradient norm is
-    above ``DEFAULT_TOL``.
+    Each point costs one pass over the nonzero rows, which gives u_n and its
+    gradient together, so the accepted trial point's gradient comes from
+    its line-search pass. Only the pass at the starting point also builds
+    the Hessian, by a per-chunk syrk that costs several gradient passes at
+    large d'.
 
     Raises
     ------
@@ -304,8 +294,7 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
         )
     obj = _Objective(table, drift)
     x = np.zeros(obj.d_reduced)
-    u, probs = obj.value(x)
-    grad, mean = obj.gradient(x, probs)
+    u, grad, hess = obj.evaluate(x, hessian=True)
     history = [u]
     safeguarded = False
     factor = None
@@ -326,7 +315,7 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
             break
         if factor is None:
             try:
-                factor = cho_factor(obj.hessian(x, probs, mean), lower=True)
+                factor = cho_factor(hess, lower=True)
             except np.linalg.LinAlgError as exc:
                 raise SingularHessian(
                     "Newton system is singular; check the drift map for rank deficiency"
@@ -336,7 +325,7 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
         step = 1.0
         while True:
             trial = x + step * direction
-            u_trial, probs = obj.value(trial)
+            u_trial, trial_grad, _ = obj.evaluate(trial)
             if u_trial < u + _ARMIJO * step * slope:
                 break
             step *= 0.5
@@ -347,7 +336,6 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
                 )
         if step < 1.0:
             safeguarded = True
-        trial_grad, mean = obj.gradient(trial, probs)
         s, y = trial - x, trial_grad - grad
         curvature = float(y @ s)
         if curvature > 0.0:
@@ -373,13 +361,22 @@ def estimate_theta_covariance(table: WeightTable, drift: DriftMap, theta) -> np.
     obj = _Objective(table, drift)
     n, gram = obj.n, obj.gram
     center = gram @ theta  # A*A theta; the score is -(A*G_i - center) terms_i
-    terms = np.exp(obj.logits(theta) + 0.5 * float(theta @ center))
-    if not np.isfinite(terms).all():
-        raise NonFiniteObjective("variance-proxy terms overflowed in covariance plug-in")
-    neg_score_sum = obj.first_moment(terms, center)
-    cross = obj.second_moment(terms, center)
-    score_sq = obj.second_moment(terms * terms, center)
-    hessian = (terms.sum() / n) * gram + cross / n
+    half_norm = 0.5 * float(theta @ center)
+    total, neg_score_sum = 0.0, np.zeros(obj.d_reduced)
+    cross, score_sq = np.zeros_like(gram), np.zeros_like(gram)
+    for part, chunk in obj.chunks():
+        terms = np.exp(obj.log_w[part] - np.dot(chunk, theta) + half_norm)
+        if not np.isfinite(terms).all():
+            raise NonFiniteObjective("variance-proxy terms overflowed in covariance plug-in")
+        total += terms.sum()
+        chunk -= center
+        neg_score_sum += terms @ chunk
+        root = np.sqrt(terms)[:, None]
+        chunk *= root  # rows sqrt(t_i) x_i, then t_i x_i
+        cross += chunk.T @ chunk
+        chunk *= root
+        score_sq += chunk.T @ chunk
+    hessian = (total / n) * gram + cross / n
     score_mean = -neg_score_sum / n
     score_cov = score_sq / n - np.outer(score_mean, score_mean)
     solved = np.linalg.solve(hessian, score_cov)

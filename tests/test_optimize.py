@@ -12,11 +12,12 @@ Claims:
     - Newton lands on the closed-form minimizer in one step for a single
       sample, converges within a few iterations for the exponential payoff,
       and its accepted objective values strictly decrease
-    - a solve builds the second-moment (Hessian) pass once: its first step
-      is, bit for bit, the first step of a textbook exact-Newton loop on the
-      public u_n and its derivatives, full or shortened, and its BFGS steps
-      after it reach that loop's minimizer within tolerance; a d = d' = 500
-      solve shaped like the basket-ris workload converges within 10 steps
+    - a solve builds the Hessian once and gathers each nonzero row once per
+      point it evaluates: its first step is, bit for bit, the first step of
+      a textbook exact-Newton loop on the public u_n and its derivatives,
+      full or shortened, and its BFGS steps after it reach that loop's
+      minimizer within tolerance; a d = d' = 500 solve shaped like the
+      basket-ris workload converges within 10 steps
     - rescaling all weights shifts u_n by a constant and leaves the
       gradient, Hessian and minimizer unchanged
     - the sandwich covariance reproduces the two Gaussian-moment values
@@ -24,6 +25,10 @@ Claims:
     - the optimizer's passes over fixed chunks of the nonzero rows match the
       dense whole-array formulas to 1e-12 relative, and hold no copy of the
       nonzero rows: memory above the block is a few chunks plus O(n + d'^2)
+    - one pass, shifted by a running maximum over 64-row chunks, matches a
+      reference shifted by the maximum of all logits to 1e-12 relative, when
+      the maximum sits in a later chunk and when the logits span over 1,400;
+      a point where u_n is not finite still raises NonFiniteObjective
 """
 
 import tracemalloc
@@ -69,12 +74,16 @@ ONES_PAYOFF_1D = Payoff(1, lambda x: np.ones(x.shape[:-1]))
 
 @pytest.fixture
 def hessian_passes(monkeypatch):
-    """A list that gains one entry per second-moment (Hessian) pass."""
+    """A list that gains one entry per pass that builds a Hessian."""
     passes = []
-    moment = _Objective.second_moment
-    monkeypatch.setattr(
-        _Objective, "second_moment", lambda obj, *a: passes.append(1) or moment(obj, *a)
-    )
+    evaluate = _Objective.evaluate
+
+    def spy(obj, v, hessian=False):
+        if hessian:
+            passes.append(1)
+        return evaluate(obj, v, hessian)
+
+    monkeypatch.setattr(_Objective, "evaluate", spy)
     return passes
 
 
@@ -370,8 +379,12 @@ class TestNewton:
         assert (first_step > 1) == (case == "cosh")
 
         points = []
-        value = _Objective.value
-        monkeypatch.setattr(_Objective, "value", lambda obj, v: points.append(v) or value(obj, v))
+        evaluate = _Objective.evaluate
+        monkeypatch.setattr(
+            _Objective,
+            "evaluate",
+            lambda obj, v, hessian=False: points.append(v) or evaluate(obj, v, hessian),
+        )
         hessian_passes.clear()
         result = newton_minimize(table, drift)
         assert len(hessian_passes) == 1
@@ -382,16 +395,33 @@ class TestNewton:
         assert np.linalg.norm(result.theta - x) <= 2 * DEFAULT_TOL
         assert result.v_value == eval_vn(table, drift, result.theta)
 
-    def test_basket_ris_shaped_solve_takes_one_hessian_pass(self, hessian_passes):
-        # d = d' = 500 as on the basket-ris workload, where a second-moment
-        # pass costs about ten mean passes. The BFGS steps grow in number as
-        # n falls toward d' (about 12 at n = 2,000, 30 at n = 300); the
-        # workload's n = 20,000 block and its 10,000-row halves take 7-8.
+    def test_basket_ris_shaped_solve_takes_one_hessian_pass(self, hessian_passes, monkeypatch):
+        # d = d' = 500 as on the basket-ris workload, where building the
+        # Hessian costs several gradient passes. The BFGS steps grow in
+        # number as n falls toward d' (about 12 at n = 2,000, 30 at n = 300);
+        # the workload's n = 20,000 block and its 10,000-row halves take 7-8.
+        # Each point the solve evaluates gathers every nonzero row once.
         cfg = Path(__file__).resolve().parent.parent / "perfbench" / "basket_ris.cfg"
         payoff = parse_config(cfg).payoff()
         table = precompute_weights(draw_samples(RngStream(3), 6_000, payoff.dim), payoff)
+        points, gathered = [], []
+        evaluate, chunks = _Objective.evaluate, _Objective.chunks
+
+        def counted(obj):
+            for part, chunk in chunks(obj):
+                gathered.append(len(chunk))
+                yield part, chunk
+
+        monkeypatch.setattr(
+            _Objective,
+            "evaluate",
+            lambda obj, v, hessian=False: points.append(v) or evaluate(obj, v, hessian),
+        )
+        monkeypatch.setattr(_Objective, "chunks", counted)
         result = newton_minimize(table, identity_map(payoff.dim))
         assert len(hessian_passes) == 1
+        assert len(points) > result.iterations
+        assert sum(gathered) == len(points) * table.nonzero
         assert 1 < result.iterations <= 10
         assert result.grad_norm <= DEFAULT_TOL
         assert np.all(np.diff(result.u_history) < 0)
@@ -503,6 +533,54 @@ class TestChunkedPasses:
         got = estimate_theta_covariance(table, drift, v)
         assert np.abs(got - gamma).max() <= 1e-10 * np.abs(gamma).max()
 
+    @pytest.mark.parametrize("case", ["rising", "wide"])
+    def test_online_shift_matches_two_pass_reference(self, case):
+        # 64-row chunks, so one pass spans many. "rising": log w_i grows with
+        # i, so the largest logit sits in the last chunk and later chunks
+        # rescale the sums before them. "wide": logits spanning over 1,400,
+        # where an unshifted exp overflows. The reference shifts all logits
+        # at once by their maximum.
+        rng = np.random.default_rng(5)
+        n, d = 1_000, 3
+        values = rng.standard_normal((n, d))
+        if case == "rising":
+            f, v = np.exp(np.linspace(0.0, 4.0, n)), rng.uniform(-0.1, 0.1, d)
+        else:
+            f, v = rng.uniform(0.5, 2.0, n), np.array([300.0, -200.0, 100.0])
+        table = _table(values, weights_of=lambda x: np.broadcast_to(f, x.shape[:-1]))
+        obj = _Objective(table, identity_map(d))
+        obj.step = 64
+
+        logits = np.log(f * f) - values @ v
+        if case == "rising":
+            assert logits[:64].max() < logits[-64:].max() == logits.max()
+        else:
+            assert np.ptp(logits) > 1_400
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(np.exp(logits)).all()
+        shift = logits.max()
+        e = np.exp(logits - shift)
+        p = e / e.sum()
+        u = 0.5 * float(v @ v) + shift + np.log(e.sum())
+        mean = p @ values
+        hess = np.eye(d) + values.T @ (values * p[:, None]) - np.outer(mean, mean)
+
+        got_u, grad, got_hess = obj.evaluate(v, hessian=True)
+        assert abs(got_u - u) <= 1e-12 * abs(u)
+        assert np.abs((v - grad) - mean).max() <= 1e-12 * np.abs(mean).max()
+        assert np.abs(got_hess - hess).max() <= 1e-12 * np.abs(hess).max()
+        u_only, grad_only, none = obj.evaluate(v)
+        assert u_only == got_u and (grad_only == grad).all() and none is None
+
+    def test_online_shift_raises_on_non_finite_objective(self):
+        rng = np.random.default_rng(6)
+        obj = _Objective(_table(rng.standard_normal((1_000, 3))), identity_map(3))
+        obj.step = 64
+        for v in (np.full(3, 1e200), np.array([1e308, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0])):
+            for hessian in (False, True):
+                with np.errstate(all="ignore"), pytest.raises(NonFiniteObjective):
+                    obj.evaluate(v, hessian)
+
     def test_memory_above_block_is_bounded_by_optimizer_chunks(self):
         # The basket-ris workload's block (d = d' = 500, n = 20k, 80 MB, most
         # rows nonzero): copying the nonzero rows, or forming an n_nz x d'
@@ -516,7 +594,7 @@ class TestChunkedPasses:
         assert bound < table.samples.values.nbytes / 3
         tracemalloc.start()
         try:
-            _Objective(table, identity_map(d)).value_grad_hess(np.zeros(d))
+            _Objective(table, identity_map(d)).evaluate(np.zeros(d), hessian=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
