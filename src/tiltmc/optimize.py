@@ -17,12 +17,12 @@ Numerical Optimization, ch. 6). Each point it evaluates costs one pass over
 the nonzero-weight rows, O(n d'), which gives u_n and its gradient; only
 the first pass also builds the Hessian, O(n d'^2).
 
-All softmax-type quantities are computed from exponents shifted by a
-running maximum; zero weights are excluded from the logs. Sums over the
-sample index run over fixed chunks of the nonzero-weight rows, sized by d'
-alone, and the per-chunk sums are added in row order. They never depend on
-worker threads, so optimizer output is bit-reproducible for a given sample
-block.
+The sandwich covariance of the tilt takes two such passes, so that pass
+is the only code here that reads the rows. It shifts every exponent by a
+running maximum and excludes zero weights from the logs. It sums over fixed
+chunks of the nonzero-weight rows, sized by d' alone and added in row
+order, never by worker threads, so optimizer output is bit-reproducible
+for a given sample block.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class _Objective:
     Holds log w_i and the indices ``rows`` of the nonzero-weight samples,
     and ``source`` = A*G for the whole block; for A = I that is the block
     itself, so nothing is copied. A pass gathers the rows A*G_i of one
-    fixed chunk of ``rows`` at a time (see ``_OPTIMIZER_CHUNK``), so it
-    holds at most two chunks of them (the one in use and the next) beyond
+    fixed chunk of ``rows`` at a time (see ``_OPTIMIZER_CHUNK``) and drops
+    it before gathering the next, so it holds one chunk of them beyond
     O(n + d'^2). A point costs O(n_nz d'), and a Hessian O(n_nz d'^2), not
     O(n d d').
     Raises NonFiniteObjective if some w_i = f(G_i)^2 is not finite, and
@@ -174,6 +174,7 @@ class _Objective:
                 # BLAS adds c.T @ c to the lower triangle of ``second`` in place,
                 # without the full-matrix temporary of numpy's c.T @ c.
                 second = dsyrk(1.0, chunk.T, beta=1.0, c=second, lower=1, overwrite_c=1)
+            del chunk  # before ``chunks()`` gathers the next one
         u = 0.5 * v @ (self.gram @ v) + shift + np.log(total)
         if not np.isfinite(u):
             raise NonFiniteObjective(f"objective is not finite at v={v!r}")
@@ -259,15 +260,16 @@ def _inverse_times(factor, pairs, q: np.ndarray) -> np.ndarray:
 def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
     """Find the unique minimizer of u_n by safeguarded quasi-Newton iteration.
 
-    The exact Hessian is built once, at the starting point, and factored by
-    Cholesky (it is symmetric positive definite by the A*A lower bound), so
-    the first step is the exact Newton step. Every later direction comes
-    from BFGS updates of that factor: a two-loop recursion over the accepted
-    steps s and gradient changes y, so no inverse is ever formed. A pair
-    with y.s <= 0 is skipped, which keeps the implied inverse positive
-    definite; strong convexity rules such pairs out up to rounding. Each
-    step is shortened by halving until the Armijo decrease condition holds;
-    full steps that already descend are taken unchanged, the typical case.
+    The exact Hessian is built once, at the starting point, and factored in
+    place by Cholesky (it is symmetric positive definite by the A*A lower
+    bound), so the first step is the exact Newton step. Every later
+    direction comes from BFGS updates of that factor: a two-loop recursion
+    over the accepted steps s and gradient changes y, so no inverse is ever
+    formed. A pair with y.s <= 0 is skipped, which keeps the implied inverse
+    positive definite; strong convexity rules such pairs out up to rounding.
+    Each step is shortened by halving until the Armijo decrease condition
+    holds; full steps that already descend are taken unchanged, the typical
+    case.
 
     Each point costs one pass over the nonzero rows, which gives u_n and its
     gradient together, so the accepted trial point's gradient comes from
@@ -283,7 +285,8 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
         backtracking.
     SingularHessian
         If the Cholesky factorization fails, which signals a rank-deficient
-        drift map rather than a property of the payoff.
+        drift map rather than a property of the payoff. It comes before the
+        first convergence check, so a stationary start raises it too.
     """
     if table.nonzero == 1:
         warnings.warn(
@@ -295,9 +298,14 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
     obj = _Objective(table, drift)
     x = np.zeros(obj.d_reduced)
     u, grad, hess = obj.evaluate(x, hessian=True)
+    try:  # in place, so the factor is the solve's one copy of the Hessian
+        factor = cho_factor(hess, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularHessian(
+            "Newton system is singular; check the drift map for rank deficiency"
+        ) from exc
     history = [u]
     safeguarded = False
-    factor = None
     pairs = []
 
     for iteration in range(DEFAULT_MAX_ITER + 1):
@@ -313,13 +321,6 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
             )
         if iteration == DEFAULT_MAX_ITER:
             break
-        if factor is None:
-            try:
-                factor = cho_factor(hess, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise SingularHessian(
-                    "Newton system is singular; check the drift map for rank deficiency"
-                ) from exc
         direction = _inverse_times(factor, pairs, -grad)
         slope = float(grad @ direction)
         step = 1.0
@@ -352,33 +353,29 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
 def estimate_theta_covariance(table: WeightTable, drift: DriftMap, theta) -> np.ndarray:
     """Sandwich covariance gamma = H^{-1} S H^{-1} of sqrt(n) (theta_n - theta*).
 
-    Per-sample score: A*(A theta - G_i) w_i e^{-A theta . G_i + |A theta|^2/2}
-    with covariance S. The Hessian plug-in H adds A*A times the same
-    exponential factor. Both use the stored weights and are evaluated at
-    theta; expectations become sample means over the block.
+    The per-sample score is A*(A theta - G_i) t_i, t_i = w_i e^{-A theta . G_i
+    + |A theta|^2/2}, with covariance S; H is the sample mean of the Hessian
+    plug-in (A*A + A*(A theta - G_i)(A theta - G_i)^T A) t_i. Two passes of
+    ``_Objective.evaluate`` give both: (u, g, h) at theta, and (u2, g2, h2)
+    at 2 theta with log w doubled, whose softmax weights are p_i^2 / sum p^2.
+    With c = A*A theta, v_n = exp(u)/n and q = n sum p_i^2 = exp(u2 - 2u -
+    theta . c + log n),
+
+        H / v_n = h + g g^T,   S / v_n^2 = q (h2 - A*A + (c - g2)(c - g2)^T) - g g^T,
+
+    and v_n cancels in gamma. The passes shift every exponent they take by
+    their running maximum and log q lies in [0, log n], so no exponent is
+    taken unshifted and gamma does not depend on the payoff's scale.
     """
     theta = drift._check_reduced(theta)
     obj = _Objective(table, drift)
-    n, gram = obj.n, obj.gram
-    center = gram @ theta  # A*A theta; the score is -(A*G_i - center) terms_i
-    half_norm = 0.5 * float(theta @ center)
-    total, neg_score_sum = 0.0, np.zeros(obj.d_reduced)
-    cross, score_sq = np.zeros_like(gram), np.zeros_like(gram)
-    for part, chunk in obj.chunks():
-        terms = np.exp(obj.log_w[part] - np.dot(chunk, theta) + half_norm)
-        if not np.isfinite(terms).all():
-            raise NonFiniteObjective("variance-proxy terms overflowed in covariance plug-in")
-        total += terms.sum()
-        chunk -= center
-        neg_score_sum += terms @ chunk
-        root = np.sqrt(terms)[:, None]
-        chunk *= root  # rows sqrt(t_i) x_i, then t_i x_i
-        cross += chunk.T @ chunk
-        chunk *= root
-        score_sq += chunk.T @ chunk
-    hessian = (total / n) * gram + cross / n
-    score_mean = -neg_score_sum / n
-    score_cov = score_sq / n - np.outer(score_mean, score_mean)
-    solved = np.linalg.solve(hessian, score_cov)
-    gamma = np.linalg.solve(hessian, solved.T).T
+    u, g, h = obj.evaluate(theta, hessian=True)
+    obj.log_w *= 2.0
+    u2, g2, h2 = obj.evaluate(2.0 * theta, hessian=True)
+    c = obj.gram @ theta
+    q = np.exp(u2 - 2.0 * u - theta @ c + np.log(obj.n))
+    gg, offset = np.outer(g, g), c - g2
+    hessian = h + gg
+    score_cov = q * (h2 - obj.gram + np.outer(offset, offset)) - gg
+    gamma = np.linalg.solve(hessian, np.linalg.solve(hessian, score_cov).T).T
     return 0.5 * (gamma + gamma.T)

@@ -4,6 +4,8 @@ Claims:
     - ``perfbench/workload.py`` can build each workload's rows, shrink them
       with ``with_overrides(n=...)`` and run its work phase through the
       public API, with no error row and a non-empty rendered report
+    - its tracing hooks find every layer function they wrap, so a renamed
+      function fails here instead of silently losing its spans
 
 This checks the interface only. The statistical gate needs the full sample
 sizes and is not run here.
@@ -60,3 +62,38 @@ def test_runs_resolve_layer_functions_on_the_estimate_module(monkeypatch):
         row.spec.payoff(), "ris", 500, 7, 0.1, replications=4, drift=row.spec.drift()
     )
     assert counts == {"draw_samples": 4, "precompute_weights": 4, "run_pipeline": 4}
+
+
+SPAN_NAMES = {
+    "cli.emit_coverage",
+    "cli.emit_report",
+    "cli.reference_price",
+    "cli.run_experiment",
+    "config.builtin_experiment",
+    "config.drift",
+    "config.parse_config",
+    "config.payoff",
+    "config.with_overrides",
+    "drift.apply_adjoint",
+    "estimate.coverage_experiment",
+    "estimate.run_pipeline",
+    "estimate.tilted_terms",
+    "gaussian.draw_samples",
+    "optimize.newton_minimize",
+    "optimize.precompute_weights",
+    "payoffs.eval",
+}
+
+
+def test_tracing_hooks_wrap_every_layer_function():
+    # ``install_tracing`` skips an attribute it cannot find. This tracer
+    # returns each function unwrapped, so the package is left as it was.
+    names = []
+
+    class Recorder:
+        def wrap(self, name, fn, attrs=None):
+            names.append(name)
+            return fn
+
+    workload.install_tracing(Recorder(), tiltmc)
+    assert sorted(names) == sorted(SPAN_NAMES)

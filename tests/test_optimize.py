@@ -20,11 +20,16 @@ Claims:
       basket-ris workload converges within 10 steps
     - rescaling all weights shifts u_n by a constant and leaves the
       gradient, Hessian and minimizer unchanged
+    - a rank-deficient drift map makes the Newton system singular: the
+      solve raises SingularHessian, even from a zero starting gradient, and
+      a block run reports that error for the mode, not a fallback
     - the sandwich covariance reproduces the two Gaussian-moment values
-      that have closed forms
+      that have closed forms, and does not change when the payoff is scaled
+      by up to 1e150
     - the optimizer's passes over fixed chunks of the nonzero rows match the
       dense whole-array formulas to 1e-12 relative, and hold no copy of the
-      nonzero rows: memory above the block is a few chunks plus O(n + d'^2)
+      nonzero rows: memory above the block is a few chunks plus O(n + d'^2);
+      a pass holds one gathered chunk at a time, and a solve one Hessian
     - one pass, shifted by a running maximum over 64-row chunks, matches a
       reference shifted by the maximum of all logits to 1e-12 relative, when
       the maximum sits in a later chunk and when the logits span over 1,400;
@@ -47,11 +52,13 @@ from tiltmc import (
     BlackScholesMulti,
     DegeneratePayoff,
     Digital,
+    DriftMap,
     NonFiniteInput,
     NonFiniteObjective,
     Payoff,
     RngStream,
     SampleBlock,
+    SingularHessian,
     build_payoff,
     dense_map,
     draw_samples,
@@ -65,6 +72,7 @@ from tiltmc import (
     precompute_weights,
 )
 from tiltmc.config import parse_config
+from tiltmc.estimate import EstimateReport, run_block
 from tiltmc.optimize import _ARMIJO, _OPTIMIZER_CHUNK, DEFAULT_TOL, _Objective
 from tiltmc.payoffs import chunk_rows
 
@@ -340,6 +348,24 @@ class TestNewton:
             result = newton_minimize(table, identity_map(1))
         assert result.theta[0] == approx(3.0, abs=1e-6)
 
+    def test_rank_deficient_map_raises_singular_hessian(self):
+        # Built directly, so dense_map's rank check does not stop it first:
+        # A*G_i has a zero second coordinate, and so has the Hessian.
+        drift = DriftMap(d=2, matrix=np.array([[1.0, 0.0], [0.0, 0.0]]))
+        payoff = Payoff(2, lambda x: np.maximum(x[..., 0] + 0.5 * x[..., 1], 0.0))
+        table = precompute_weights(draw_samples(RngStream(3, 0), 2_000, 2), payoff)
+        with pytest.raises(SingularHessian):
+            newton_minimize(table, drift)
+        # A zero starting gradient: the factorization comes first.
+        with pytest.raises(SingularHessian):
+            newton_minimize(_table([[1.0, 2.0], [-1.0, -2.0]]), drift)
+
+        crude, rris = run_block(
+            payoff, drift, RngStream(3, 0), 2_000, ("crude", "rris"), level=0.95
+        )
+        assert isinstance(crude, EstimateReport) and crude.mode == "crude"
+        assert isinstance(rris, SingularHessian)
+
     @pytest.mark.parametrize("case", ["basket", "cosh"])
     def test_matches_textbook_loop_with_one_hessian_per_solve(
         self, case, hessian_passes, monkeypatch
@@ -482,6 +508,24 @@ class TestThetaCovariance:
         expected = np.exp(0.04) * 1.04 / 4.0
         assert gamma[0, 0] == approx(expected, rel=0.10)
 
+    def test_independent_of_payoff_scale(self):
+        # Scaling f scales w by its square, which only shifts log w: the tilt
+        # and gamma stay put, though at 1e100 an unshifted w_i e^{...} squared
+        # would overflow.
+        block = draw_samples(RngStream(3, 0), 2_000, 2)
+        drift = identity_map(2)
+
+        def gamma_at(scale):
+            payoff = Payoff(2, lambda x: scale * np.maximum(x[..., 0] + 0.5 * x[..., 1], 0.0))
+            table = precompute_weights(block, payoff)
+            return estimate_theta_covariance(table, drift, newton_minimize(table, drift).theta)
+
+        base = gamma_at(1.0)
+        assert np.isfinite(base).all()
+        for scale in (1e50, 1e100, 1e150):
+            got = gamma_at(scale)
+            assert np.abs(got - base).max() <= 1e-10 * np.abs(base).max(), scale
+
     def test_symmetric_and_psd_on_random_configs(self):
         rng = np.random.default_rng(31415)
         for _ in range(10):
@@ -599,3 +643,32 @@ class TestChunkedPasses:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_one_gathered_chunk_and_one_hessian_copy(self):
+        # The basket-ris block (d = d' = 500, 1.95 MiB chunks). A pass drops
+        # each chunk before gathering the next, and a solve factors its one
+        # Hessian in place. The slack of half a chunk covers the O(n)
+        # vectors; a second live chunk or a second Hessian exceeds it.
+        cfg = Path(__file__).resolve().parent.parent / "perfbench" / "basket_ris.cfg"
+        payoff = parse_config(cfg).payoff()
+        n, d = 20_000, payoff.dim
+        table = precompute_weights(draw_samples(RngStream(13), n, d), payoff)
+        chunk_bytes = chunk_rows(d, _OPTIMIZER_CHUNK) * d * 8
+        square_bytes = d * d * 8
+        slack = chunk_bytes // 2
+        obj = _Objective(table, identity_map(d))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: obj.evaluate(np.zeros(d))) < chunk_bytes + slack
+        hessian_pass = peak(lambda: obj.evaluate(np.zeros(d), hessian=True))
+        assert hessian_pass < chunk_bytes + square_bytes + slack
+        # The solve also holds A*A and one d' x d' temporary of the first pass.
+        solve = peak(lambda: newton_minimize(table, identity_map(d)))
+        assert solve < chunk_bytes + 3 * square_bytes + slack
