@@ -6,9 +6,10 @@ Subcommands:
   per mode.
 * ``experiment <name|config>`` -- run a builtin parameter grid (or a config
   file) and emit one row per parameter set per mode, as aligned text or CSV.
-* ``coverage <config|name>`` -- replicate the run with distinct stream ids,
-  every listed mode on each replication's one block, and report how often
-  each mode's interval contains the reference price.
+* ``coverage <config|name>`` -- for each parameter row, replicate the run
+  with distinct stream ids, every listed mode on each replication's one
+  block, and report how often each mode's interval contains the row's
+  reference price.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures (``price`` and ``coverage``; ``experiment`` batches record row
@@ -55,7 +56,7 @@ from .payoffs import Basket, BlackScholesMulti, Digital
 
 __all__ = ["main", "run_experiment", "emit_report", "reference_price"]
 
-_REFERENCE_STREAM_ID = 999_983  # reserved; replication ids stay well below
+_REFERENCE_STREAM_ID = 999_983  # reserved; coverage replication ids stay below it
 
 
 @dataclass(frozen=True)
@@ -314,24 +315,32 @@ def main(argv=None) -> int:
 
         # coverage
         name, rows = _load_rows(args.target, args)
-        spec = rows[0].spec
-        replications = args.replications or spec.replications
+        replications = args.replications or rows[0].spec.replications
         if replications is None:
             raise ConfigError(
                 "coverage needs --replications or a 'replications' key in [run]",
                 field="replications",
             )
-        fmt = args.format or spec.out_format
-        reference = reference_price(spec)
-        results = _coverage(
-            spec.payoff(), spec.drift(), spec.n, spec.seed, spec.modes, reference,
-            replications, spec.level, threads,
-        )
-        blocks = [
-            _emit_coverage(name, rows[0].label, mode, spec, reference, result, fmt)
-            for mode, result in zip(spec.modes, results)
-        ]
-        if fmt == "csv":  # one header, then one row per mode
+        if replications > _REFERENCE_STREAM_ID:
+            raise ConfigError(
+                f"at most {_REFERENCE_STREAM_ID} replications: replication r draws "
+                f"stream r, and stream {_REFERENCE_STREAM_ID} is the reference price's",
+                field="replications",
+            )
+        fmt = args.format or rows[0].spec.out_format
+        blocks = []
+        for row in rows:
+            spec = row.spec
+            reference = reference_price(spec)
+            results = _coverage(
+                spec.payoff(), spec.drift(), spec.n, spec.seed, spec.modes, reference,
+                replications, spec.level, threads,
+            )
+            blocks += [
+                _emit_coverage(name, row.label, mode, spec, reference, result, fmt)
+                for mode, result in zip(spec.modes, results)
+            ]
+        if fmt == "csv":  # one header, then one row per (parameter row, mode)
             blocks[1:] = [block.split("\n", 1)[1] for block in blocks[1:]]
         _write("".join(blocks) if fmt == "csv" else "\n".join(blocks), args.out)
         return 0

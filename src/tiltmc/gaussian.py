@@ -1,11 +1,11 @@
 """Deterministic generation of standard normal samples.
 
 Draws are counter-addressable: the normal at flat index k is a pure function
-of (seed, stream_id, k), so blocks can be filled chunk by chunk, sliced,
-or regenerated later with bit-identical results. Uniform variates come from
-the Philox counter-based generator and are mapped to normals through the
-inverse CDF (``scipy.special.ndtri``) rather than a rejection method, which
-would break index addressing.
+of (seed, stream_id, k), so any slice of a stream can be drawn on its own
+or regenerated later with bit-identical results. The k-th output word of
+the Philox counter-based generator becomes a 53-bit uniform, which is
+mapped to a normal through the inverse CDF (``scipy.special.ndtri``) rather
+than a rejection method, which would break index addressing.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .errors import InvalidCorrelation, InvalidGrid, SampleBudgetExceeded
@@ -28,13 +28,6 @@ __all__ = [
 
 # Default storage budget for one block: 2**27 float64 entries (1 GiB).
 DEFAULT_SAMPLE_BUDGET = 1 << 27
-
-# Draws are filled in fixed-size flat chunks, which bounds the size of the
-# one temporary (raw words, turned into uniforms in place) to one chunk.
-_FILL_CHUNK = 1 << 16
-
-_U64 = np.uint64
-_TWO_M53 = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -57,35 +50,26 @@ class RngStream:
                 raise ValueError(f"{name} must fit in 64 bits")
 
 
-def _raw_words(stream: RngStream, start: int, count: int) -> np.ndarray:
-    # Philox emits 4 output words per counter block; advance() moves whole
-    # blocks, so address word w as (block w // 4, offset w % 4).
-    key = np.array([stream.seed, stream.stream_id], dtype=_U64)
-    block, rem = divmod(start, 4)
-    gen = Philox(key=key)
-    if block:
-        gen.advance(block)
-    return gen.random_raw(rem + count)[rem:]
-
-
 def normal_draws(stream: RngStream, count: int, offset: int = 0) -> np.ndarray:
     """Standard normal draws at flat indices ``offset .. offset+count-1``.
 
-    The value at each index is a pure function of (seed, stream_id, index).
+    The value at each index is a pure function of (seed, stream_id, index):
+    Philox output word w at that index becomes the uniform
+    (w >> 11) 2^-53 + 2^-54, the 53-bit uniform of ``Generator.random``
+    moved by half a step into the open interval (0, 1), so ``ndtri`` is
+    finite on it. ``Generator.random`` fills the output array, and the
+    shift and ``ndtri`` work on it in place, so there is no temporary.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out = np.empty(count, dtype=np.float64)
-    for lo in range(0, count, _FILL_CHUNK):
-        chunk = out[lo : lo + _FILL_CHUNK]
-        raw = _raw_words(stream, offset + lo, chunk.size)
-        # 53-bit uniform shifted to the open interval (0, 1); ndtri is then finite.
-        raw >>= _U64(11)
-        u = raw.view(np.float64)
-        np.add(raw, 0.5, out=u)
-        u *= _TWO_M53
-        ndtri(u, out=chunk)
-    return out
+    bits = Philox(key=[stream.seed, stream.stream_id])
+    # Philox emits 4 output words per counter block and advance() moves whole
+    # blocks, so word ``offset`` is word offset % 4 of block offset // 4.
+    bits.advance(offset // 4)
+    bits.random_raw(offset % 4)
+    out = Generator(bits).random(count)
+    out += 2.0**-54
+    return ndtri(out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +106,7 @@ def draw_samples(stream: RngStream, n: int, d: int) -> SampleBlock:
     """Draw and store an n-by-d block of standard normals.
 
     Entry (i, j) depends only on (seed, stream_id, i*d + j); the block
-    therefore does not depend on the fill chunk size and can be regenerated
-    from its provenance without storage.
+    can therefore be regenerated from its provenance without storage.
 
     Raises
     ------

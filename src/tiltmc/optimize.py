@@ -110,11 +110,12 @@ class _Objective:
 
     Holds log w_i and the indices ``rows`` of the nonzero-weight samples,
     and ``source`` = A*G for the whole block; for A = I that is the block
-    itself, so nothing is copied. A pass gathers the rows A*G_i of one
-    fixed chunk of ``rows`` at a time (see ``_OPTIMIZER_CHUNK``) and drops
-    it before gathering the next, so it holds one chunk of them beyond
-    O(n + d'^2). A point costs O(n_nz d'), and a Hessian O(n_nz d'^2), not
-    O(n d d').
+    itself, so nothing is copied. It keeps the drift, not A*A: a point
+    takes A*A v as A*(A v), and only a Hessian pass forms A*A. A pass
+    gathers the rows A*G_i of one fixed chunk of ``rows`` at a time (see
+    ``_OPTIMIZER_CHUNK``) and drops it before gathering the next, so it
+    holds one chunk of them beyond O(n), and a Hessian pass d'^2 more. A
+    point costs O(n_nz d'), and a Hessian O(n_nz d'^2), not O(n d d').
     Raises NonFiniteObjective if some w_i = f(G_i)^2 is not finite, and
     DegeneratePayoff if every w_i is zero (u_n then has no minimizer).
     """
@@ -132,7 +133,7 @@ class _Objective:
         self.rows = rows
         self.log_w = np.log(weights[rows])
         self.source = drift.apply_adjoint(table.samples.values)
-        self.gram = drift.gram()
+        self.drift = drift
         self.d_reduced = drift.d_reduced
         self.step = chunk_rows(self.d_reduced, _OPTIMIZER_CHUNK)
 
@@ -175,15 +176,16 @@ class _Objective:
                 # without the full-matrix temporary of numpy's c.T @ c.
                 second = dsyrk(1.0, chunk.T, beta=1.0, c=second, lower=1, overwrite_c=1)
             del chunk  # before ``chunks()`` gathers the next one
-        u = 0.5 * v @ (self.gram @ v) + shift + np.log(total)
+        gram_v = self.drift.apply_adjoint(self.drift.apply(v))  # A*A v; a copy of v for A = I
+        u = 0.5 * v @ gram_v + shift + np.log(total)
         if not np.isfinite(u):
             raise NonFiniteObjective(f"objective is not finite at v={v!r}")
         mean = first / total
-        grad = self.gram @ v - mean
+        grad = gram_v - mean
         if hessian:  # mirror the lower triangle, then A*A + second / total - m m^T
             second += np.tril(second, -1).T
             second /= total
-            second += self.gram
+            second += self.drift.gram()
             second -= np.outer(mean, mean)
         if not (np.isfinite(grad).all() and (second is None or np.isfinite(second).all())):
             raise NonFiniteObjective(f"objective derivatives are not finite at v={v!r}")
@@ -372,10 +374,10 @@ def estimate_theta_covariance(table: WeightTable, drift: DriftMap, theta) -> np.
     u, g, h = obj.evaluate(theta, hessian=True)
     obj.log_w *= 2.0
     u2, g2, h2 = obj.evaluate(2.0 * theta, hessian=True)
-    c = obj.gram @ theta
+    c = drift.apply_adjoint(drift.apply(theta))
     q = np.exp(u2 - 2.0 * u - theta @ c + np.log(obj.n))
     gg, offset = np.outer(g, g), c - g2
     hessian = h + gg
-    score_cov = q * (h2 - obj.gram + np.outer(offset, offset)) - gg
+    score_cov = q * (h2 - drift.gram() + np.outer(offset, offset)) - gg
     gamma = np.linalg.solve(hessian, np.linalg.solve(hessian, score_cov).T).T
     return 0.5 * (gamma + gamma.T)

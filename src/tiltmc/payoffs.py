@@ -39,7 +39,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import IncompatibleClaim, NonFiniteInput
-from .gaussian import _FILL_CHUNK, cholesky_correlation, validate_grid
+from .gaussian import cholesky_correlation, validate_grid
 
 __all__ = [
     "BlackScholesMulti",
@@ -61,12 +61,14 @@ __all__ = [
 # path as in one whole-array call, so chunking changes no bit.
 _ROW_ALIGN = 64
 
+_CHUNK_ELEMENTS = 1 << 16  # default chunk size: 2^16 doubles, 512 KiB
 
-def chunk_rows(d: int, elements: int = _FILL_CHUNK) -> int:
+
+def chunk_rows(d: int, elements: int = _CHUNK_ELEMENTS) -> int:
     """Rows per evaluation chunk at dimension d.
 
-    About ``elements`` elements (by default the sample fill chunk), rounded
-    down to a multiple of 64 rows, and at least 64 rows.
+    About ``elements`` elements (by default 2^16), rounded down to a
+    multiple of 64 rows, and at least 64 rows.
     """
     return max(_ROW_ALIGN, elements // d // _ROW_ALIGN * _ROW_ALIGN)
 

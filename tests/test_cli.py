@@ -13,7 +13,9 @@ Claims:
     - coverage subcommand reports hits against the closed-form reference for
       every listed mode; all modes run on each replication's one block, each
       mode's row equals coverage_experiment for that mode, and a failing mode
-      counts as a failure of that mode only
+      counts as a failure of that mode only; a multi-row builtin reports every
+      (row, mode) pair, and more replications than the reserved reference
+      stream id exit 2 before any draw
     - a repeated mode is a config error on 'modes' in every command
     - a parameter row evaluates the payoff once on its block, shared by all
       modes; each tilted mode adds one pass over the block, two_stage too
@@ -27,6 +29,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import tiltmc.cli
 import tiltmc.estimate
 import tiltmc.payoffs
 from tiltmc import DegeneratePayoff, RngStream, normal_draws
@@ -377,6 +380,47 @@ class TestCoverage:
             spec.payoff(), spec.drift(), RngStream(spec.seed, 0), 50, ("crude", "ris"), level=0.95
         )
         assert crude.price == 0.0 and isinstance(ris, DegeneratePayoff)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_replications_reaching_the_reference_stream_exit_2(
+        self, tmp_path, monkeypatch, capsys, source
+    ):
+        # Replication r draws stream r, so replication 999,983 would reuse the
+        # reference price's normals. Nothing may be drawn before the check.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking replications")
+
+        monkeypatch.setattr(tiltmc.cli, "reference_price", no_draw)
+        monkeypatch.setattr(tiltmc.estimate, "draw_samples", no_draw)
+        count = str(_REFERENCE_STREAM_ID + 1)
+        assert count == "999984"
+        if source == "flag":
+            argv = ["coverage", _digital_config(tmp_path), "--replications", count]
+        else:
+            path = tmp_path / "many.cfg"
+            path.write_text(DIGITAL_CFG.replace("seed = 7", f"seed = 7\nreplications = {count}"))
+            argv = ["coverage", str(path)]
+        assert main(argv) == 2
+        assert "field 'replications'" in capsys.readouterr().err
+
+    def test_multi_row_builtin_runs_every_row(self, monkeypatch, capsys):
+        monkeypatch.setattr(tiltmc.cli, "reference_price", lambda spec: 10.0)
+        argv = ["coverage", "table3", "--n", "500", "--replications", "2"]
+        assert main(argv + ["--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        specs = builtin_experiment("table3", n=500)
+        assert len(rows) == 12
+        assert [(r["row"], r["mode"]) for r in rows] == [
+            (row.label, mode) for row in specs for mode in row.spec.modes
+        ]
+        last = specs[-1].spec
+        results = tiltmc.estimate._coverage(
+            last.payoff(), last.drift(), 500, last.seed, last.modes, 10.0, 2, last.level, 1
+        )
+        for row, result in zip(rows[-len(last.modes):], results, strict=True):
+            assert (row["hits"], row["failures"]) == (str(result.hits), str(result.failures))
+        assert main(argv + ["--format", "text"]) == 0
+        assert capsys.readouterr().out.count("coverage of table3") == 12
 
 
 class TestReferencePrice:

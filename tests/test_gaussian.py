@@ -2,8 +2,9 @@
 
 Claims:
     - draws are a pure function of (seed, stream_id, index): bit-identical
-      re-draws, chunk-independent fills (also at an offset that straddles
-      the block's fill chunks), stream separation
+      re-draws, offset draws equal to the block's slice (also across 2^16
+      boundaries), stream separation, and bit for bit the Philox words
+      through a half-step-shifted 53-bit uniform and ndtri
     - marginals are standard normal (moment bounds and column-wise KS)
     - equicorrelation Cholesky is exact and rejects inadmissible rho
     - the lognormal model's map from normals to Brownian values realizes
@@ -14,7 +15,9 @@ Claims:
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from pytest import approx
+from scipy.special import ndtri
 from scipy.stats import kstest, kstwobign
 
 from tiltmc import (
@@ -27,7 +30,10 @@ from tiltmc import (
     draw_samples,
     normal_draws,
 )
-from tiltmc.gaussian import _FILL_CHUNK, DEFAULT_SAMPLE_BUDGET
+from tiltmc.gaussian import DEFAULT_SAMPLE_BUDGET
+
+# 2^16 draws, the span the offset cases below straddle.
+_CHUNK = 1 << 16
 
 
 class TestStreams:
@@ -58,17 +64,33 @@ class TestStreams:
         assert (block.values == flat.reshape(100, 2)).all()
 
     def test_multi_chunk_block_is_flat_stream(self):
-        # Large enough to span several fill chunks.
+        # Large enough to span several 2^16-draw spans.
         block = draw_samples(RngStream(11, 1), 50_000, 4)
         flat = normal_draws(RngStream(11, 1), 200_000)
         assert (block.values == flat.reshape(50_000, 4)).all()
 
     def test_offset_draws_across_fill_chunks_match_the_block(self):
-        # An unaligned offset: the request's chunks straddle the block's.
+        # An unaligned offset: the request straddles two 2^16-draw boundaries.
         block = draw_samples(RngStream(11, 2), 40_000, 5)
-        offset, count = _FILL_CHUNK - 12_345, 2 * _FILL_CHUNK + 7
+        offset, count = _CHUNK - 12_345, 2 * _CHUNK + 7
         draws = normal_draws(RngStream(11, 2), count, offset=offset)
         assert np.array_equal(draws, block.values.reshape(-1)[offset : offset + count])
+
+    @pytest.mark.parametrize("offset", [0, 3, _CHUNK - 12_345, 2**40 + 3])
+    @pytest.mark.parametrize("count", [0, 1, 2 * _CHUNK + 7])
+    def test_stream_is_pinned_to_philox_words(self, offset, count):
+        # The stream, spelled out from raw words: Philox output word w at
+        # index k becomes ((w >> 11) + 1/2) 2^-53, then ndtri. numpy does not
+        # promise Generator.random stable across releases (NEP 19), so a
+        # release that changes it must fail here, not rewrite every CSV.
+        stream = RngStream(11, 2)
+        bits = Philox(key=np.array([stream.seed, stream.stream_id], dtype=np.uint64))
+        bits.advance(offset // 4)
+        words = bits.random_raw(offset % 4 + count)[offset % 4 :]
+        expected = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+        got = normal_draws(stream, count, offset=offset)
+        assert got.shape == (count,)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_regenerate_is_bit_identical(self):
         block = draw_samples(RngStream(21, 3), 64, 5)
