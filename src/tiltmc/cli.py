@@ -52,7 +52,7 @@ from .estimate import (
 )
 from .gaussian import RngStream, normal_draws
 from .oracles import bs_call_price, bs_digital_price, bs_put_price
-from .payoffs import Basket, BlackScholesMulti, Digital
+from .payoffs import Basket, BlackScholesMulti, Digital, chunk_rows
 
 __all__ = ["main", "run_experiment", "emit_report", "reference_price"]
 
@@ -168,14 +168,12 @@ def reference_price(spec: ExperimentSpec, *, n_ref: int = 2_000_000) -> float:
                 price = bs_call_price if w > 0 else bs_put_price
                 return abs(w) * price(spot, claim.strike / w, rate, vol, maturity)
     stream = RngStream(spec.seed, _REFERENCE_STREAM_ID)
-    rows_per_draw = max(1, 1_000_000 // payoff.dim)
+    rows_per_draw = chunk_rows(payoff.dim)
     total = 0.0
-    done = 0
-    while done < n_ref:
+    for done in range(0, n_ref, rows_per_draw):
         m = min(rows_per_draw, n_ref - done)
         draws = normal_draws(stream, m * payoff.dim, offset=done * payoff.dim)
         total += float(np.sum(payoff(draws.reshape(m, payoff.dim))))
-        done += m
     return total / n_ref
 
 

@@ -149,9 +149,12 @@ class _Section(dict):
 def _read_sections(path) -> dict[str, _Section]:
     sections: dict[str, _Section] = {}
     current: _Section | None = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}", line=lineno) from exc
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):

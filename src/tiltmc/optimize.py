@@ -20,9 +20,9 @@ the first pass also builds the Hessian, O(n d'^2).
 The sandwich covariance of the tilt takes two such passes, so that pass
 is the only code here that reads the rows. It shifts every exponent by a
 running maximum and excludes zero weights from the logs. It sums over fixed
-chunks of the nonzero-weight rows, sized by d' alone and added in row
-order, never by worker threads, so optimizer output is bit-reproducible
-for a given sample block.
+chunks of ``chunk_rows(d')`` nonzero-weight rows, the package's one chunk
+rule taken at width d', added in row order and never split by worker
+threads, so optimizer output is bit-reproducible for a given sample block.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-40
-
-# Optimizer passes gather A*G_i in chunks of ``chunk_rows(d', _OPTIMIZER_CHUNK)``
-# rows, fixed by d' alone. They are larger than the payoff's chunks because
-# each adds a d' x d' product c.T @ c, which BLAS runs fastest on a few
-# hundred to a few thousand rows.
-_OPTIMIZER_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +106,10 @@ class _Objective:
     and ``source`` = A*G for the whole block; for A = I that is the block
     itself, so nothing is copied. It keeps the drift, not A*A: a point
     takes A*A v as A*(A v), and only a Hessian pass forms A*A. A pass
-    gathers the rows A*G_i of one fixed chunk of ``rows`` at a time (see
-    ``_OPTIMIZER_CHUNK``) and drops it before gathering the next, so it
-    holds one chunk of them beyond O(n), and a Hessian pass d'^2 more. A
+    gathers the rows A*G_i of one chunk of ``rows`` at a time,
+    ``chunk_rows(d')`` of them as in the payoff's passes, and drops it
+    before gathering the next, so it holds one chunk of them beyond O(n),
+    and a Hessian pass the Hessian plus one d' x d' temporary more. A
     point costs O(n_nz d'), and a Hessian O(n_nz d'^2), not O(n d d').
     Raises NonFiniteObjective if some w_i = f(G_i)^2 is not finite, and
     DegeneratePayoff if every w_i is zero (u_n then has no minimizer).
@@ -135,7 +130,7 @@ class _Objective:
         self.source = drift.apply_adjoint(table.samples.values)
         self.drift = drift
         self.d_reduced = drift.d_reduced
-        self.step = chunk_rows(self.d_reduced, _OPTIMIZER_CHUNK)
+        self.step = chunk_rows(self.d_reduced)
 
     def chunks(self):
         """(slice of ``rows``, a fresh copy of those rows of A*G), in row order."""

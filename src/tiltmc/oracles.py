@@ -37,6 +37,9 @@ def bs_put_price(spot, strike, rate, vol, maturity) -> float:
 
 def bs_digital_price(spot, level, rate, vol, maturity) -> float:
     """Value of the indicator that the terminal asset exceeds ``level``:
-    exp(-r T) N(d2) with d2 = (ln(S0/L) + (r - vol^2/2) T) / (vol sqrt(T))."""
+    exp(-r T) N(d2) with d2 = (ln(S0/L) + (r - vol^2/2) T) / (vol sqrt(T)).
+    The terminal value is positive, so a level <= 0 pays the bond exp(-r T)."""
+    if level <= 0:
+        return float(np.exp(-rate * maturity))
     _, d2 = _d1_d2(spot, level, rate, vol, maturity)
     return float(np.exp(-rate * maturity) * ndtr(d2))

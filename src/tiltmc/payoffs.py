@@ -61,16 +61,17 @@ __all__ = [
 # path as in one whole-array call, so chunking changes no bit.
 _ROW_ALIGN = 64
 
-_CHUNK_ELEMENTS = 1 << 16  # default chunk size: 2^16 doubles, 512 KiB
+_CHUNK_ELEMENTS = 1 << 16  # 2^16 doubles, 512 KiB
 
 
-def chunk_rows(d: int, elements: int = _CHUNK_ELEMENTS) -> int:
-    """Rows per evaluation chunk at dimension d.
+def chunk_rows(d: int) -> int:
+    """Rows per chunk of a row pass at width d: about 2^16 elements,
+    rounded down to a multiple of 64 rows, and at least 64 rows.
 
-    About ``elements`` elements (by default 2^16), rounded down to a
-    multiple of 64 rows, and at least 64 rows.
+    The package's one chunk rule: payoff and tilted passes take it at d,
+    optimizer passes at d', and the reference price's draws at d.
     """
-    return max(_ROW_ALIGN, elements // d // _ROW_ALIGN * _ROW_ALIGN)
+    return max(_ROW_ALIGN, _CHUNK_ELEMENTS // d // _ROW_ALIGN * _ROW_ALIGN)
 
 
 # --- local volatility functions ---------------------------------------------

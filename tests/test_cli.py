@@ -5,11 +5,14 @@ Claims:
       table is aligned
     - an empty row set emits only the CSV header
     - equal seed and config give byte-identical CSV independent of threads
-    - exit codes: 0 success, 2 config error, 3 numerical failure
+    - exit codes: 0 success, 2 config error (a config file that is not
+      UTF-8 too), 3 numerical failure
     - environment variables override seed and thread count
     - the reference price is the closed form for a one-asset lognormal
-      digital (above or below), call, put or positively scaled basket, and a
-      sampled estimate otherwise (a barrier call, a multi-asset basket)
+      digital (above or below, at any level), call, put or positively scaled
+      basket, and a sampled estimate otherwise (a barrier call, a multi-asset
+      basket) that equals the payoff's mean over one fill of the reference
+      stream however many draws it takes
     - coverage subcommand reports hits against the closed-form reference for
       every listed mode; all modes run on each replication's one block, each
       mode's row equals coverage_experiment for that mode, and a failing mode
@@ -36,6 +39,7 @@ from tiltmc import DegeneratePayoff, RngStream, normal_draws
 from tiltmc.cli import _REFERENCE_STREAM_ID, emit_report, main, reference_price, run_experiment
 from tiltmc.config import builtin_experiment, parse_config
 from tiltmc.oracles import bs_call_price, bs_digital_price, bs_put_price
+from tiltmc.payoffs import chunk_rows
 
 DIGITAL_CFG = """
 [model]
@@ -257,6 +261,17 @@ class TestExitCodes:
         assert "field 'n'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["price", "experiment", "coverage"])
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(DIGITAL_CFG.replace("spot = 100", "spot = 100 \xff").encode("latin-1"))
+        argv = [command, str(path), "--n", "200", "--format", "csv"]
+        assert main(argv + (["--replications", "5"] if command == "coverage" else [])) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert f"[line 5] {path} is not UTF-8 text" in captured.err
+        assert captured.out == ""
+
     def test_price_success(self, tmp_path, capsys):
         assert main(["price", _digital_config(tmp_path), "--n", "500"]) == 0
         out = capsys.readouterr().out
@@ -319,6 +334,15 @@ class TestCoverage:
         rows = list(csv.reader(io.StringIO(out.read_text())))
         assert rows[0][:4] == ["experiment", "row", "mode", "n"]
         assert int(rows[1][rows[0].index("replications")]) == 20
+
+    def test_digital_below_zero_level_has_finite_reference(self, tmp_path, capsys):
+        path = tmp_path / "low.cfg"
+        path.write_text(DIGITAL_CFG.replace("level = 140", "level = -5"))
+        argv = ["coverage", str(path), "--replications", "3", "--format", "csv"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["mode"] for row in rows] == ["crude", "ris"]
+        assert all(np.isfinite(float(row["reference"])) for row in rows)
 
     def test_coverage_runs_every_mode(self, capsys):
         argv = ["coverage", "digital-coverage", "--modes", "crude", "ris",
@@ -428,6 +452,15 @@ class TestReferencePrice:
         spec = parse_config(_digital_config(tmp_path))
         assert reference_price(spec) == bs_digital_price(100.0, 140.0, 0.05, 0.2, 1.0)
 
+    @pytest.mark.parametrize("level", ["-5", "0"])
+    def test_digital_at_level_at_or_below_zero(self, tmp_path, level):
+        # The terminal value is positive: above pays the bond, below nothing.
+        path = tmp_path / "low.cfg"
+        path.write_text(DIGITAL_CFG.replace("level = 140", f"level = {level}"))
+        assert reference_price(parse_config(str(path))) == np.exp(-0.05)
+        path.write_text(DIGITAL_CFG.replace("level = 140", f"level = {level}\ndirection = below"))
+        assert reference_price(parse_config(str(path))) == 0.0
+
     def test_below_digital_uses_closed_form(self, tmp_path):
         # The digital-coverage model at level 80: exp(-r T) N(-d2).
         path = tmp_path / "below.cfg"
@@ -468,6 +501,16 @@ class TestReferencePrice:
         sampled = float(np.sum(payoff(draws.reshape(1000, payoff.dim)))) / 1000
         assert reference_price(spec, n_ref=1000) == sampled
         assert 0.0 < sampled < bs_call_price(100.0, 95.0, 0.05, 0.2, 1.0)
+
+    def test_sampled_reference_spans_several_draws(self):
+        # A table3 barrier row (d = 24) over three draws of chunk_rows(d)
+        # rows or fewer: each draw continues the stream where the last ended.
+        spec = builtin_experiment("table3")[0].spec
+        d = spec.payoff().dim
+        n_ref = 2 * chunk_rows(d) + 17
+        draws = normal_draws(RngStream(spec.seed, _REFERENCE_STREAM_ID), n_ref * d)
+        expected = float(np.mean(spec.payoff()(draws.reshape(n_ref, d))))
+        assert reference_price(spec, n_ref=n_ref) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_fallback_to_high_n_estimate(self, tmp_path):
         # Multi-asset claims have no closed form: the reference comes from

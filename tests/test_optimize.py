@@ -73,7 +73,7 @@ from tiltmc import (
 )
 from tiltmc.config import parse_config
 from tiltmc.estimate import EstimateReport, run_block
-from tiltmc.optimize import _ARMIJO, _OPTIMIZER_CHUNK, DEFAULT_TOL, _Objective
+from tiltmc.optimize import _ARMIJO, DEFAULT_TOL, _Objective
 from tiltmc.payoffs import chunk_rows
 
 EXP_PAYOFF = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
@@ -548,7 +548,7 @@ class TestChunkedPasses:
             rng.standard_normal((4000, d)),
             weights_of=lambda x: np.maximum(np.sin(x[:, :3].sum(axis=-1)) + 0.4, 0.0),
         )
-        step = chunk_rows(d_red, _OPTIMIZER_CHUNK)
+        step = chunk_rows(d_red)
         assert table.nonzero > 2 * step and table.nonzero % step != 0
         v = rng.uniform(-0.05, 0.05, d_red)
 
@@ -633,7 +633,7 @@ class TestChunkedPasses:
         payoff = parse_config(cfg).payoff()
         n, d = 20_000, payoff.dim
         table = precompute_weights(draw_samples(RngStream(5), n, d), payoff)
-        chunk_bytes = chunk_rows(d, _OPTIMIZER_CHUNK) * d * 8
+        chunk_bytes = chunk_rows(d) * d * 8
         bound = 4 * chunk_bytes + 8 * n * 8 + 4 * d * d * 8
         assert bound < table.samples.values.nbytes / 3
         tracemalloc.start()
@@ -644,19 +644,20 @@ class TestChunkedPasses:
             tracemalloc.stop()
         assert peak < bound
 
-    def test_one_gathered_chunk_and_one_hessian_copy(self):
-        # The basket-ris block (d = d' = 500, 1.95 MiB chunks). A pass drops
-        # each chunk before gathering the next, and a solve factors its one
-        # Hessian in place. The slack of half a chunk covers the O(n)
-        # vectors; a second live chunk or a second Hessian exceeds it.
+    def test_one_gathered_chunk_and_one_hessian_copy(self, monkeypatch):
+        # The basket-ris block (d = d' = 500, 500 KiB chunks). A pass drops
+        # each chunk before gathering the next, so doubling the chunk raises
+        # its peak by one chunk; two live chunks would raise it by two. A
+        # Hessian pass holds the Hessian and one d' x d' temporary beside the
+        # chunk; the slack of half a chunk covers the chunk-sized vectors.
         cfg = Path(__file__).resolve().parent.parent / "perfbench" / "basket_ris.cfg"
         payoff = parse_config(cfg).payoff()
         n, d = 20_000, payoff.dim
         table = precompute_weights(draw_samples(RngStream(13), n, d), payoff)
-        chunk_bytes = chunk_rows(d, _OPTIMIZER_CHUNK) * d * 8
-        square_bytes = d * d * 8
-        slack = chunk_bytes // 2
         obj = _Objective(table, identity_map(d))
+        assert obj.step == chunk_rows(d)
+        chunk_bytes = obj.step * d * 8
+        square_bytes = d * d * 8
 
         def peak(run):
             tracemalloc.start()
@@ -666,10 +667,30 @@ class TestChunkedPasses:
             finally:
                 tracemalloc.stop()
 
-        assert peak(lambda: obj.evaluate(np.zeros(d))) < chunk_bytes + slack
+        gradient_pass = peak(lambda: obj.evaluate(np.zeros(d)))
+        obj.step *= 2
+        growth = peak(lambda: obj.evaluate(np.zeros(d))) - gradient_pass
+        obj.step //= 2
+        assert 0.5 * chunk_bytes < growth < 1.5 * chunk_bytes
         hessian_pass = peak(lambda: obj.evaluate(np.zeros(d), hessian=True))
-        assert hessian_pass < chunk_bytes + square_bytes + slack
-        # The objective keeps the drift, not A*A, so beside a chunk a solve
-        # holds one d' x d' array: the Hessian, then its factor.
-        solve = peak(lambda: newton_minimize(table, identity_map(d)))
-        assert solve < chunk_bytes + square_bytes + slack
+        assert hessian_pass < chunk_bytes + 2 * square_bytes + chunk_bytes // 2
+
+        # A solve factors its one Hessian in place: whenever it enters a
+        # gradient-only pass it holds the factor and O(n) vectors, not a
+        # second d' x d' array.
+        evaluate = _Objective.evaluate
+        entries = []
+
+        def spy(obj, v, hessian=False):
+            if not hessian:
+                entries.append(tracemalloc.get_traced_memory()[0] - start)
+            return evaluate(obj, v, hessian)
+
+        monkeypatch.setattr(_Objective, "evaluate", spy)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            newton_minimize(table, identity_map(d))
+        finally:
+            tracemalloc.stop()
+        assert entries and max(entries) < 1.5 * square_bytes

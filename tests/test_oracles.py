@@ -2,7 +2,7 @@
 
 Claims:
     - closed-form call/put/digital prices hit textbook values, limits, and
-      put-call parity to 1e-10
+      put-call parity to 1e-10; a digital at a level <= 0 is the bond
     - the quadrature expectation is exact on polynomials and stable under
       node doubling
     - the quadrature tilt optimum reproduces the closed-form exponential
@@ -45,6 +45,11 @@ class TestClosedForms:
 
     def test_digital_tiny_level_pays_discount_bond(self):
         assert bs_digital_price(100.0, 1e-12, 0.05, 0.2, 1.0) == approx(np.exp(-0.05), abs=1e-12)
+
+    @pytest.mark.parametrize("level", [-5.0, 0.0])
+    def test_digital_level_at_or_below_zero_pays_discount_bond(self, level):
+        # The terminal value is positive, so it always exceeds such a level.
+        assert bs_digital_price(100.0, level, 0.05, 0.2, 1.0) == np.exp(-0.05)
 
     def test_digital_at_forward_small_vol(self):
         # d2 = -vol sqrt(T)/2 at the forward, so the price tends to half the
