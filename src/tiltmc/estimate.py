@@ -232,7 +232,7 @@ def run_pipeline(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     optim = theta = None
-    parts = [table]
+    parts, tilts = [table], [np.zeros(samples.d)]
     if mode != "crude":
         if mode == "rris" and drift is None:
             raise ValueError("rris mode needs a drift map; use mode='ris' for the full space")
@@ -245,6 +245,7 @@ def run_pipeline(
         try:
             optims = [newton_minimize(part, drift) for part in parts]
         except ConvergenceFailure as exc:
+            parts = [table]  # the fallback: the whole table, untilted
             warnings.warn(
                 f"tilt optimization failed ({exc}); falling back to the untilted estimate",
                 RuntimeWarning,
@@ -252,17 +253,14 @@ def run_pipeline(
             )
         else:
             optim = optims[0]
-            tilts = [drift.apply(result.theta) for result in optims]
-            theta = tilts[0]
+            # Each part takes the tilt tuned on the other part; one part takes its own.
+            tilts = [drift.apply(result.theta) for result in reversed(optims)]
+            theta = tilts[-1]
 
-    if optim is None:
-        terms = tilted_terms(table, np.zeros(samples.d))
-    elif mode != "two_stage":
-        terms = tilted_terms(table, theta)
-    else:  # each half's summands take the other half's tilt
-        terms = np.concatenate([tilted_terms(parts[0], tilts[1]), tilted_terms(parts[1], theta)])
+    terms = [tilted_terms(part, tilt) for part, tilt in zip(parts, tilts)]
+    terms = np.concatenate(terms) if len(terms) > 1 else terms[0]
     price = float(terms.mean())
-    tuned_here = optim is not None and mode != "two_stage"  # tilt tuned on these samples
+    tuned_here = optim is not None and len(parts) == 1  # tilt tuned on these samples
     second_moment = optim.v_value if tuned_here else float((terms * terms).mean())
     variance, clamped = variance_estimate(second_moment, price)
     low, high = confidence_interval(price, variance, samples.n, level)

@@ -131,22 +131,20 @@ def cholesky_correlation(n_assets: int, rho: float) -> np.ndarray:
     C = (1-rho) I + rho 11* of ``n_assets`` Brownian motions (L L* = C).
 
     ``rho`` must lie in the open interval (-1/(n_assets-1), 1) for the
-    matrix to be positive definite; with one asset any value is accepted
-    since C is the 1x1 identity.
+    matrix to be positive definite. With one asset any value is accepted:
+    C is the 1x1 identity, and its factor is exactly ``[[1.0]]``.
     """
     if n_assets < 1:
         raise ValueError("n_assets must be >= 1")
-    if n_assets == 1:
-        factor = np.ones((1, 1))
-    else:
+    if n_assets > 1:
         lo = -1.0 / (n_assets - 1)
         if not lo < rho < 1.0:
             raise InvalidCorrelation(
                 f"rho={rho} outside the admissible interval ({lo}, 1) for {n_assets} assets"
             )
-        c = np.full((n_assets, n_assets), float(rho))
-        np.fill_diagonal(c, 1.0)
-        factor = np.linalg.cholesky(c)
+    c = np.full((n_assets, n_assets), float(rho))
+    np.fill_diagonal(c, 1.0)
+    factor = np.linalg.cholesky(c)
     factor.setflags(write=False)
     return factor
 

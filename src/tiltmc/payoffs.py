@@ -114,7 +114,8 @@ class PowerLawVol:
 
 @dataclass(frozen=True, eq=False)
 class TabulatedVol:
-    """Bilinear interpolation of a (t, s) -> sigma table, edge-clamped."""
+    """Bilinear interpolation of a (t, s) -> sigma table: ``np.interp`` in t
+    (a blend of two rows), then in s, each holding its edge values outside."""
 
     t_grid: np.ndarray
     s_grid: np.ndarray
@@ -156,20 +157,11 @@ class TabulatedVol:
         return cls(t_grid=t_grid, s_grid=s_grid, values=table)
 
     def __call__(self, t: float, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
-        ti = np.clip(np.searchsorted(self.t_grid, t, side="right") - 1, 0, self.t_grid.size - 2)
-        if self.t_grid.size == 1:
-            row = self.values[0]
-        else:
-            t0, t1 = self.t_grid[ti], self.t_grid[ti + 1]
-            wt = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
-            row = (1.0 - wt) * self.values[ti] + wt * self.values[ti + 1]
-        if self.s_grid.size == 1:
-            return np.full_like(s, row[0])
-        si = np.clip(np.searchsorted(self.s_grid, s, side="right") - 1, 0, self.s_grid.size - 2)
-        s0, s1 = self.s_grid[si], self.s_grid[si + 1]
-        ws = np.clip((s - s0) / (s1 - s0), 0.0, 1.0)
-        return (1.0 - ws) * row[si] + ws * row[si + 1]
+        at = np.interp(t, self.t_grid, np.arange(self.t_grid.size))
+        lo = int(at)
+        hi = min(lo + 1, self.t_grid.size - 1)
+        row = (lo + 1 - at) * self.values[lo] + (at - lo) * self.values[hi]
+        return np.interp(s, self.s_grid, row)
 
 
 # --- market models -----------------------------------------------------------
