@@ -80,6 +80,8 @@ class ExperimentSpec:
                 f"'modes' must be distinct names from {', '.join(MODES)}; got {self.modes!r}",
                 field="modes",
             )
+        if "two_stage" in self.modes and self.n < 2:
+            raise ConfigError("two_stage needs n >= 2 samples to tune a tilt on each half", field="n")
         if self.replications is not None and self.replications < 1:
             raise ConfigError("'replications' must be >= 1", field="replications")
 
@@ -150,7 +152,7 @@ def _read_sections(path) -> dict[str, _Section]:
     sections: dict[str, _Section] = {}
     current: _Section | None = None
     with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
             try:
                 line = raw.decode("utf-8").split("#", 1)[0].strip()
             except UnicodeDecodeError as exc:

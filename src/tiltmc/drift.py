@@ -32,8 +32,8 @@ class DriftMap:
     """The d x d' drift matrix A; ``matrix`` is None for A = I_d.
 
     ``apply`` gives theta = A v, ``apply_adjoint`` gives A* x (row by row
-    for a stacked batch) and ``gram`` the d' x d' array A*A. Build one
-    through the factories below, which check the rank.
+    for a stacked batch), ``gram`` the d' x d' array A*A and ``add_gram``
+    adds it in place. Build one through the factories, which check the rank.
     """
 
     d: int
@@ -66,6 +66,13 @@ class DriftMap:
             return np.eye(self.d)
         gram = self.matrix.T @ self.matrix
         return 0.5 * (gram + gram.T)
+
+    def add_gram(self, out: np.ndarray) -> None:
+        """``out += A*A`` in place; the identity adds one to the diagonal."""
+        if self.matrix is None:
+            out[np.diag_indices(self.d)] += 1.0
+        else:
+            out += self.gram()
 
     def _check_reduced(self, v) -> np.ndarray:
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))

@@ -219,13 +219,16 @@ def run_pipeline(
         half. The n summands are pooled in row order. The report carries the
         first half's tilt and optimizer result.
 
-    Every mode evaluates the same estimator M_n at its tilt (zero for
-    crude). ``ris`` and ``rris`` take the second moment from v_n at the
-    optimum, as the paper does; crude, ``two_stage`` and a fallback take it
-    from the mean of the squared summands. A
-    :class:`ConvergenceFailure` in the optimizer (in either half for
-    ``two_stage``) degrades to the crude estimate with ``fallback=True``
-    and a warning instead of raising, so batch runs keep going.
+    Every mode evaluates the same estimator M_n by one rule: it is a list
+    of row parts, each with the tilt its summands take. Crude and a
+    fallback take the whole table untilted, ``ris`` and ``rris`` the whole
+    table with its own tilt, and ``two_stage`` the two halves, each with the
+    other half's tilt. The second moment is v_n at the optimum, as in the
+    paper, when one part took the tilt tuned on it, and otherwise the mean
+    of the squared summands. A :class:`ConvergenceFailure` in the optimizer
+    (in either half for ``two_stage``) degrades to the crude estimate with
+    ``fallback=True`` and a warning instead of raising, so batch runs keep
+    going. ``two_stage`` on fewer than 2 rows raises :class:`DegeneratePayoff`.
     """
     started = time.perf_counter()
     samples = table.samples

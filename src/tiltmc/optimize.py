@@ -178,10 +178,13 @@ class _Objective:
         mean = first / total
         grad = gram_v - mean
         if hessian:  # mirror the lower triangle, then A*A + second / total - m m^T
-            second += np.tril(second, -1).T
+            # In place, row by row: no second d' x d' array beside the Hessian.
+            for i in range(1, self.d_reduced):
+                second[:i, i] = second[i, :i]
             second /= total
-            second += self.drift.gram()
-            second -= np.outer(mean, mean)
+            self.drift.add_gram(second)
+            for i, m_i in enumerate(mean):
+                second[i] -= m_i * mean
         if not (np.isfinite(grad).all() and (second is None or np.isfinite(second).all())):
             raise NonFiniteObjective(f"objective derivatives are not finite at v={v!r}")
         return float(u), grad, second

@@ -6,7 +6,7 @@ Claims:
     - an empty row set emits only the CSV header
     - equal seed and config give byte-identical CSV independent of threads
     - exit codes: 0 success, 2 config error (a config file that is not
-      UTF-8 too), 3 numerical failure
+      UTF-8, or two_stage on fewer than 2 samples, too), 3 numerical failure
     - environment variables override seed and thread count
     - the reference price is the closed form for a one-asset lognormal
       digital (above or below, at any level), call, put or positively scaled
@@ -256,6 +256,14 @@ class TestExitCodes:
         path = tmp_path / "big.cfg"
         path.write_text(DIGITAL_CFG.replace("maturity = 1", "maturity = 1\nsteps = 200"))
         argv = [command, str(path), "--n", "1000000", "--format", "csv"]
+        assert main(argv + (["--replications", "5"] if command == "coverage" else [])) == 2
+        captured = capsys.readouterr()
+        assert "field 'n'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["price", "experiment", "coverage"])
+    def test_two_stage_with_one_sample_is_config_error(self, tmp_path, capsys, command):
+        argv = [command, _digital_config(tmp_path), "--n", "1", "--modes", "two_stage"]
         assert main(argv + (["--replications", "5"] if command == "coverage" else [])) == 2
         captured = capsys.readouterr()
         assert "field 'n'" in captured.err

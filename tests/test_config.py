@@ -3,7 +3,9 @@
 Claims:
     - a minimal config gets level/modes defaults filled
     - unknown sections/keys and malformed values fail with line numbers,
-      validation failures name the field
+      validation failures name the field; LF, CRLF and CR line endings
+      parse alike and keep their line numbers
+    - two_stage with n < 2 is a config error on field 'n'
     - inadmissible correlation is rejected with the interval constraint
     - a 5-asset 24-step barrier-basket config derives d = 120, d' = 5
     - builtin grids expose their benchmark parameter rows
@@ -89,6 +91,32 @@ class TestParsing:
         text = MINIMAL_DIGITAL.replace("[run]", "# a comment\n\n[run]")
         spec = parse_config(_write(tmp_path, text))
         assert spec.n == 1000
+
+    def test_lf_crlf_and_cr_line_endings_parse_alike(self, tmp_path):
+        text = MINIMAL_DIGITAL.replace("[run]", "# a comment\n\n[run]") + "modes = crude ris two_stage\n"
+        specs = []
+        for name, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / f"{name}.cfg"
+            path.write_bytes(text.replace("\n", ending).encode())
+            specs.append(parse_config(path))
+        x = np.linspace(-2.0, 2.0, 9)[:, None]
+        for spec in specs[1:]:
+            assert spec.describe().split(":")[1] == specs[0].describe().split(":")[1]
+            assert (spec.level, spec.replications, spec.drift_kind) == (
+                specs[0].level, specs[0].replications, specs[0].drift_kind
+            )
+            assert spec.claim == specs[0].claim
+            assert np.array_equal(spec.payoff()(x), specs[0].payoff()(x))
+
+    def test_non_utf8_byte_on_a_cr_line_names_it(self, tmp_path):
+        text = MINIMAL_DIGITAL.lstrip("\n").replace("maturity = 1", "maturity = 1 \xff", 1)
+        assert text.splitlines()[2].endswith("\xff")
+        path = tmp_path / "cr.cfg"
+        path.write_bytes(text.replace("\n", "\r").encode("latin-1"))
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.line == 3
+        assert "is not UTF-8 text" in str(err.value)
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
         text = MINIMAL_DIGITAL + "frobnicate = 3\n"
@@ -473,10 +501,11 @@ class TestBuiltins:
             (lambda: builtin_experiment("table3", seed=-1), "seed"),
             (lambda: with_overrides(builtin_experiment("table1")[0].spec, modes=()), "modes"),
             (lambda: builtin_experiment("table3", modes=("ris", "ris")), "modes"),
+            (lambda: builtin_experiment("table3", n=1, modes=("two_stage",)), "n"),
         ],
         ids=[
             "builtin-no-modes", "builtin-negative-seed", "override-no-modes",
-            "builtin-repeated-mode",
+            "builtin-repeated-mode", "builtin-two-stage-one-row",
         ],
     )
     def test_library_overrides_follow_the_spec_rules(self, build, field):

@@ -4,7 +4,8 @@ Claims:
     - structured maps reproduce their defining matrices (identity columns,
       sqrt time increments, the sparse per-asset layout; the single-asset
       path drift is the one-asset per-asset map)
-    - apply/apply_adjoint form an adjoint pair and compose to the Gram matrix
+    - apply/apply_adjoint form an adjoint pair and compose to the Gram matrix,
+      which add_gram adds in place
     - construction rejects rank-deficient or non-finite matrices and bad grids
     - the identity stays implicit: its adjoint returns the block itself
     - dense maps round-trip through the text-file loader
@@ -43,6 +44,10 @@ class TestIdentity:
 
     def test_gram_is_identity(self):
         assert identity_map(3).gram() == approx(np.eye(3))
+        out = np.arange(9.0).reshape(3, 3, order="F")
+        expected = out + np.eye(3)
+        identity_map(3).add_gram(out)  # in place, Fortran order too
+        assert np.array_equal(out, expected)
 
     def test_dimensions(self):
         drift = identity_map(3)
@@ -124,6 +129,9 @@ class TestDense:
     def test_gram_hand_product(self):
         drift = dense_map(np.array([[1.0, 0.0], [1.0, 1.0]]))
         assert drift.gram() == approx(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        out = np.ones((2, 2))
+        drift.add_gram(out)
+        assert out == approx(np.array([[3.0, 2.0], [2.0, 2.0]]))
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficientDriftMap):

@@ -6,7 +6,8 @@ Claims:
       boundaries), stream separation, and bit for bit the Philox words
       through a half-step-shifted 53-bit uniform and ndtri
     - marginals are standard normal (moment bounds and column-wise KS)
-    - equicorrelation Cholesky is exact and rejects inadmissible rho
+    - equicorrelation Cholesky is exact and rejects inadmissible rho; one
+      asset gives a read-only [[1.0]] for any rho, nan included
     - the lognormal model's map from normals to Brownian values realizes
       the discrete Brownian covariance exactly (dense composition) and
       empirically (sampled covariance); the model keeps read-only copies of
@@ -155,7 +156,10 @@ class TestCorrelationChol:
             cholesky_correlation(2, 1.0)
 
     def test_single_asset_accepts_any_rho(self):
-        assert cholesky_correlation(1, -5.0) == approx(np.ones((1, 1)))
+        for rho in (-5.0, 0.0, 0.5, np.nan):
+            chol = cholesky_correlation(1, rho)
+            assert np.array_equal(chol, [[1.0]])
+            assert not chol.flags.writeable
 
     @pytest.mark.parametrize("dim", [2, 5, 17, 64])
     @pytest.mark.parametrize("rho", [-0.01, 0.0, 0.3, 0.9, 0.999])

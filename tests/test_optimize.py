@@ -648,8 +648,9 @@ class TestChunkedPasses:
         # The basket-ris block (d = d' = 500, 500 KiB chunks). A pass drops
         # each chunk before gathering the next, so doubling the chunk raises
         # its peak by one chunk; two live chunks would raise it by two. A
-        # Hessian pass holds the Hessian and one d' x d' temporary beside the
-        # chunk; the slack of half a chunk covers the chunk-sized vectors.
+        # Hessian pass assembles the Hessian in place, so it holds one d' x d'
+        # array beside the chunk; the slack of half a chunk covers the
+        # chunk-sized vectors.
         cfg = Path(__file__).resolve().parent.parent / "perfbench" / "basket_ris.cfg"
         payoff = parse_config(cfg).payoff()
         n, d = 20_000, payoff.dim
@@ -673,7 +674,7 @@ class TestChunkedPasses:
         obj.step //= 2
         assert 0.5 * chunk_bytes < growth < 1.5 * chunk_bytes
         hessian_pass = peak(lambda: obj.evaluate(np.zeros(d), hessian=True))
-        assert hessian_pass < chunk_bytes + 2 * square_bytes + chunk_bytes // 2
+        assert hessian_pass < chunk_bytes + square_bytes + chunk_bytes // 2
 
         # A solve factors its one Hessian in place: whenever it enters a
         # gradient-only pass it holds the factor and O(n) vectors, not a

@@ -5,6 +5,9 @@ Claims:
       closed-form call price in Monte Carlo over one million draws
     - the Euler recursion degenerates correctly with zero noise and reduces
       to one multiplicative step for constant volatility
+    - a volatility table is bilinear (a cell midpoint is its corners' mean),
+      holds its edge values beyond both ends of both axes, and a grid of one
+      point is constant along that axis
     - claims (basket, digital, barriers, best-of) implement their
       indicator/rectifier definitions and discounting; a one-asset basket
       with weight 1 or -1 and strike K or -K gives the bits of the call
@@ -401,9 +404,29 @@ class TestLocalVolSurfaces:
         vol = TabulatedVol.from_csv(path)
         assert vol(0.0, np.array([50.0]))[0] == approx(0.2)
         assert vol(1.0, np.array([150.0]))[0] == approx(0.4)
-        # Bilinear midpoint and edge clamping.
-        assert vol(0.5, np.array([100.0]))[0] == approx(0.3)
-        assert vol(-1.0, np.array([0.0]))[0] == approx(0.2)
+        # The cell midpoint is the mean of the four corners.
+        corners = vol.values.sum() / 4.0
+        assert vol(0.5, np.array([100.0]))[0] == approx(corners, rel=1e-15, abs=0.0)
+        # Beyond either end of either axis the edge value holds.
+        for t, row in ((-1.0, 0), (0.0, 0), (1.0, 1), (7.0, 1)):
+            out = vol(t, np.array([-10.0, 50.0, 150.0, 1e6]))
+            assert np.array_equal(out, vol.values[row][[0, 0, 1, 1]])
+        assert vol(-1.0, np.array([100.0]))[0] == approx(vol.values[0].mean(), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "rows, columns", [(1, 3), (3, 1), (1, 1)], ids=["one-t-row", "one-s-column", "one-by-one"]
+    )
+    def test_tabulated_one_point_grids(self, rows, columns):
+        # Along an axis of one point the table is constant; along an axis of
+        # three points it is linear between them and held beyond the ends.
+        grid, line = np.array([0.0, 1.0, 3.0]), np.array([0.2, 0.3, 0.5])
+        at = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 9.0])
+        along = np.array([0.2, 0.2, 0.25, 0.3, 0.4, 0.5, 0.5])  # `line` at `at`, by hand
+        values = line[: rows * columns].reshape(rows, columns)
+        vol = TabulatedVol(t_grid=grid[:rows], s_grid=grid[:columns] + 100.0, values=values)
+        for i, t in enumerate(at):
+            expected = along if columns > 1 else np.full(at.size, along[i] if rows > 1 else 0.2)
+            assert vol(t, at + 100.0) == approx(expected, rel=1e-15, abs=0.0)
 
     def test_tabulated_requires_full_grid(self, tmp_path):
         path = tmp_path / "vol.csv"
