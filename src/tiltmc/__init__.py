@@ -28,7 +28,6 @@ from .errors import (
     NonFiniteObjective,
     RankDeficientDriftMap,
     SampleBudgetExceeded,
-    SingularHessian,
     TiltmcError,
 )
 from .estimate import (
@@ -51,9 +50,6 @@ from .optimize import (
     OptimResult,
     WeightTable,
     estimate_theta_covariance,
-    eval_un,
-    eval_un_derivatives,
-    eval_vn,
     newton_minimize,
     precompute_weights,
 )

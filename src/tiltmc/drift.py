@@ -11,9 +11,10 @@ back unchanged instead of multiplying it by an explicit d x d matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, NonFiniteInput, RankDeficientDriftMap
 from .gaussian import validate_grid
@@ -32,18 +33,42 @@ class DriftMap:
     """The d x d' drift matrix A; ``matrix`` is None for A = I_d.
 
     ``apply`` gives theta = A v, ``apply_adjoint`` gives A* x (row by row
-    for a stacked batch), ``gram`` the d' x d' array A*A and ``add_gram``
-    adds it in place. Build one through the factories, which check the rank.
+    for a stacked batch), ``gram`` the d' x d' array A*A, ``add_gram`` adds
+    it in place and ``solve_gram`` applies its inverse to a d'-vector.
+
+    A map checks itself when built, so a hand-built one is held to the same
+    rules as the factories': it keeps a read-only float64 copy of
+    ``matrix``, which must be d x d' with d >= d' >= 1, finite, and of full
+    column rank. The rank check is the Cholesky factorization of A*A, and
+    ``solve_gram`` reuses that factor. The identity holds no matrix and no
+    factor.
     """
 
     d: int
     matrix: np.ndarray | None = None
+    _gram_factor: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.matrix is not None:
-            if self.matrix.shape[0] != self.d:
-                raise DimensionMismatch(f"matrix has {self.matrix.shape[0]} rows, not d={self.d}")
-            self.matrix.setflags(write=False)
+        if self.matrix is None:
+            return
+        # A copy, so the caller's array stays writable and cannot change A later.
+        matrix = np.array(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] < matrix.shape[1] or matrix.shape[1] < 1:
+            raise RankDeficientDriftMap(
+                f"drift matrix must be d x d' with d >= d' >= 1, got shape {matrix.shape}"
+            )
+        if matrix.shape[0] != self.d:
+            raise DimensionMismatch(f"matrix has {matrix.shape[0]} rows, not d={self.d}")
+        if not np.isfinite(matrix).all():
+            raise NonFiniteInput("drift matrix has NaN or infinite entries")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        try:
+            object.__setattr__(self, "_gram_factor", cho_factor(self.gram(), lower=True))
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficientDriftMap(
+                "A*A is not positive definite; the drift map lacks full column rank"
+            ) from exc
 
     @property
     def d_reduced(self) -> int:
@@ -73,6 +98,10 @@ class DriftMap:
             out[np.diag_indices(self.d)] += 1.0
         else:
             out += self.gram()
+
+    def solve_gram(self, q: np.ndarray) -> np.ndarray:
+        """(A*A)^{-1} q for a d'-vector q; the identity returns q itself."""
+        return q if self.matrix is None else cho_solve(self._gram_factor, q)
 
     def _check_reduced(self, v) -> np.ndarray:
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))
@@ -104,22 +133,9 @@ def path_drift_multi(times, n_assets: int) -> DriftMap:
 
 
 def dense_map(matrix) -> DriftMap:
-    """Wrap an explicit finite matrix; rank is verified eagerly via Cholesky of A*A."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] < matrix.shape[1] or matrix.shape[1] < 1:
-        raise RankDeficientDriftMap(
-            f"drift matrix must be d x d' with d >= d' >= 1, got shape {matrix.shape}"
-        )
-    if not np.isfinite(matrix).all():
-        raise NonFiniteInput("drift matrix has NaN or infinite entries")
-    out = DriftMap(d=matrix.shape[0], matrix=matrix)
-    try:
-        np.linalg.cholesky(out.gram())
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientDriftMap(
-            "A*A is not positive definite; the drift map lacks full column rank"
-        ) from exc
-    return out
+    """Wrap an explicit matrix; ``DriftMap`` checks its shape, entries and rank."""
+    matrix = np.atleast_1d(np.asarray(matrix, dtype=np.float64))
+    return DriftMap(d=matrix.shape[0], matrix=matrix)
 
 
 def load_dense_map(path) -> DriftMap:

@@ -49,10 +49,6 @@ class ConvergenceFailure(TiltmcError, RuntimeError):
     """The quasi-Newton iteration did not reach the gradient tolerance."""
 
 
-class SingularHessian(TiltmcError, RuntimeError):
-    """Cholesky factorization of the first Newton system failed."""
-
-
 class ConfigError(TiltmcError, ValueError):
     """Configuration file could not be parsed or validated.
 

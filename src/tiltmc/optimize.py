@@ -10,19 +10,19 @@ which is strongly convex with a unique minimizer. The optimizer works instead on
     u_n(v) = |A v|^2 / 2 + log sum_i w_i exp(-A v . G_i),
 
 which has the same minimizer (v_n = exp(u_n)/n) but a Hessian bounded below
-by A*A independently of the weights, so the linear systems stay well
-conditioned no matter how small the payoff is. It takes one exact Newton
-step and then BFGS steps from that first Hessian (Nocedal & Wright,
-Numerical Optimization, ch. 6). Each point it evaluates costs one pass over
-the nonzero-weight rows, O(n d'), which gives u_n and its gradient; only
-the first pass also builds the Hessian, O(n d'^2).
+by A*A independently of the weights. The minimizer takes BFGS steps
+(Nocedal & Wright, Numerical Optimization, ch. 6) from that bound, so its
+first step is -(A*A)^{-1} grad u_n and it never builds a Hessian. Each
+point it evaluates costs one pass over the nonzero-weight rows, O(n d'),
+which gives u_n and its gradient.
 
-The sandwich covariance of the tilt takes two such passes, so that pass
-is the only code here that reads the rows. It shifts every exponent by a
-running maximum and excludes zero weights from the logs. It sums over fixed
-chunks of ``chunk_rows(d')`` nonzero-weight rows, the package's one chunk
-rule taken at width d', added in row order and never split by worker
-threads, so optimizer output is bit-reproducible for a given sample block.
+The sandwich covariance of the tilt takes two such passes that also build
+the Hessian, O(n d'^2), so that pass is the only code here that reads the
+rows. It shifts every exponent by a running maximum and excludes zero
+weights from the logs. It sums over fixed chunks of ``chunk_rows(d')``
+nonzero-weight rows, the package's one chunk rule taken at width d', added
+in row order and never split by worker threads, so optimizer output is
+bit-reproducible for a given sample block.
 """
 
 from __future__ import annotations
@@ -31,16 +31,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 
 from .drift import DriftMap
-from .errors import (
-    ConvergenceFailure,
-    DegeneratePayoff,
-    NonFiniteObjective,
-    SingularHessian,
-)
+from .errors import ConvergenceFailure, DegeneratePayoff, NonFiniteObjective
 from .gaussian import SampleBlock
 from .payoffs import Payoff, chunk_rows
 
@@ -48,9 +42,6 @@ __all__ = [
     "WeightTable",
     "OptimResult",
     "precompute_weights",
-    "eval_vn",
-    "eval_un",
-    "eval_un_derivatives",
     "newton_minimize",
     "estimate_theta_covariance",
 ]
@@ -105,12 +96,13 @@ class _Objective:
     Holds log w_i and the indices ``rows`` of the nonzero-weight samples,
     and ``source`` = A*G for the whole block; for A = I that is the block
     itself, so nothing is copied. It keeps the drift, not A*A: a point
-    takes A*A v as A*(A v), and only a Hessian pass forms A*A. A pass
-    gathers the rows A*G_i of one chunk of ``rows`` at a time,
-    ``chunk_rows(d')`` of them as in the payoff's passes, and drops it
-    before gathering the next, so it holds one chunk of them beyond O(n),
-    and a Hessian pass the Hessian plus one d' x d' temporary more. A
-    point costs O(n_nz d'), and a Hessian O(n_nz d'^2), not O(n d d').
+    takes A*A v as A*(A v), and only a Hessian pass, which only the sandwich
+    covariance takes, forms A*A. A pass gathers the rows A*G_i of one chunk
+    of ``rows`` at a time, ``chunk_rows(d')`` of them as in the payoff's
+    passes, and drops it before gathering the next, so it holds one chunk
+    of them beyond O(n), and a Hessian pass the Hessian plus one d' x d'
+    temporary more. A point costs O(n_nz d'), and a Hessian O(n_nz d'^2),
+    not O(n d d').
     Raises NonFiniteObjective if some w_i = f(G_i)^2 is not finite, and
     DegeneratePayoff if every w_i is zero (u_n then has no minimizer).
     """
@@ -196,39 +188,18 @@ class _Objective:
         return float(v)
 
 
-def eval_vn(table: WeightTable, drift: DriftMap, theta) -> float:
-    """Empirical variance proxy v_n at the reduced parameter theta."""
-    obj = _Objective(table, drift)
-    return obj.v_from_u(obj.evaluate(drift._check_reduced(theta))[0])
-
-
-def eval_un(table: WeightTable, drift: DriftMap, theta) -> float:
-    """Reformulated objective u_n = |A theta|^2/2 + log sum_i w_i e^{-A theta . G_i}."""
-    return _Objective(table, drift).evaluate(drift._check_reduced(theta))[0]
-
-
-def eval_un_derivatives(table: WeightTable, drift: DriftMap, theta):
-    """Gradient and Hessian of u_n at theta.
-
-    The gradient is A*A theta - A* m(theta) with m the softmax-weighted mean
-    of the samples under weights w_i e^{-A theta . G_i}; the Hessian is
-    A*A plus the softmax-weighted covariance of A*G, hence bounded below by
-    A*A.
-    """
-    _, grad, hess = _Objective(table, drift).evaluate(drift._check_reduced(theta), hessian=True)
-    return grad, hess
-
-
 @dataclass(frozen=True, eq=False)
 class OptimResult:
     """Minimizer of u_n with convergence diagnostics.
 
-    ``iterations`` counts accepted steps: the exact Newton step from the
-    starting point and the quasi-Newton steps after it. ``u_history`` holds
-    u_n at the initial point and after each accepted step; it is strictly
-    decreasing and ends at the minimum, where ``v_value`` = exp(u_n)/n.
-    ``safeguarded`` flags that at least one step had to be shortened to
-    descend.
+    ``iterations`` counts accepted quasi-Newton steps from the starting
+    point. ``grad_norm`` is the gradient's norm in the A*A metric,
+    sqrt(g.(A*A)^{-1} g): the norm of the gradient in theta = A v, so it
+    does not depend on the scale of A, and for A = I it is |g|.
+    ``u_history`` holds u_n at the initial point and after each accepted
+    step; it is strictly decreasing and ends at the minimum, where
+    ``v_value`` = exp(u_n)/n. ``safeguarded`` flags that at least one step
+    had to be shortened to descend.
     """
 
     theta: np.ndarray
@@ -243,15 +214,22 @@ class OptimResult:
         self.u_history.setflags(write=False)
 
 
-def _inverse_times(factor, pairs, q: np.ndarray) -> np.ndarray:
+def _inverse_times(drift: DriftMap, pairs, q: np.ndarray) -> np.ndarray:
     """The BFGS inverse Hessian times q, by the two-loop recursion (Nocedal
-    & Wright, Alg. 7.4) over the accepted (s, y, 1/y.s) pairs, oldest first,
-    with the exact first Hessian's Cholesky ``factor`` in the middle."""
+    & Wright, Alg. 7.4) over the accepted (s, y, 1/y.s) pairs, oldest first.
+
+    The middle step is gamma (A*A)^{-1} q: the Hessian's lower bound A*A,
+    scaled by gamma = s.y / (y.(A*A)^{-1} y) from the latest pair (eq. 7.20
+    taken in the A*A metric), with gamma = 1 before any pair exists.
+    """
     alphas = []
     for s, y, rho in reversed(pairs):
         alphas.append(rho * (s @ q))
         q = q - alphas[-1] * y
-    r = cho_solve(factor, q)
+    r = drift.solve_gram(q)
+    if pairs:
+        s, y, _ = pairs[-1]
+        r = (s @ y) / (y @ drift.solve_gram(y)) * r
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         r = r + (alpha - rho * (y @ r)) * s
     return r
@@ -260,33 +238,30 @@ def _inverse_times(factor, pairs, q: np.ndarray) -> np.ndarray:
 def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
     """Find the unique minimizer of u_n by safeguarded quasi-Newton iteration.
 
-    The exact Hessian is built once, at the starting point, and factored in
-    place by Cholesky (it is symmetric positive definite by the A*A lower
-    bound), so the first step is the exact Newton step. Every later
-    direction comes from BFGS updates of that factor: a two-loop recursion
-    over the accepted steps s and gradient changes y, so no inverse is ever
-    formed. A pair with y.s <= 0 is skipped, which keeps the implied inverse
-    positive definite; strong convexity rules such pairs out up to rounding.
-    Each step is shortened by halving until the Armijo decrease condition
-    holds; full steps that already descend are taken unchanged, the typical
-    case.
+    BFGS starts from the Hessian's lower bound A*A, so the first direction
+    is -(A*A)^{-1} grad u_n and no Hessian is ever built. Every direction
+    comes from a two-loop recursion over the accepted steps s and gradient
+    changes y, so no inverse is ever formed either; ``DriftMap.solve_gram``
+    applies (A*A)^{-1}, which for the identity is no work at all. A pair
+    with y.s <= 0 is skipped, which keeps the implied inverse positive
+    definite; strong convexity rules such pairs out up to rounding. Each
+    step is shortened by halving until the Armijo decrease condition holds;
+    full steps that already descend are taken unchanged, the typical case.
 
     Each point costs one pass over the nonzero rows, which gives u_n and its
     gradient together, so the accepted trial point's gradient comes from
-    its line-search pass. Only the pass at the starting point also builds
-    the Hessian, by a per-chunk syrk that costs several gradient passes at
-    large d'.
+    its line-search pass. The solve stops when the gradient's norm in the
+    A*A metric, the ``grad_norm`` of ``OptimResult``, reaches
+    ``DEFAULT_TOL``. The Euclidean norm of the gradient in v grows with the
+    scale of A, so a map with large singular values would ask it for a
+    decrease of u_n below rounding, and backtracking would underflow.
 
     Raises
     ------
     ConvergenceFailure
-        If the gradient norm does not reach ``DEFAULT_TOL`` within
+        If ``grad_norm`` does not reach ``DEFAULT_TOL`` within
         ``DEFAULT_MAX_ITER`` accepted steps, or a step underflows during
         backtracking.
-    SingularHessian
-        If the Cholesky factorization fails, which signals a rank-deficient
-        drift map rather than a property of the payoff. It comes before the
-        first convergence check, so a stationary start raises it too.
     """
     if table.nonzero == 1:
         warnings.warn(
@@ -297,19 +272,13 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
         )
     obj = _Objective(table, drift)
     x = np.zeros(obj.d_reduced)
-    u, grad, hess = obj.evaluate(x, hessian=True)
-    try:  # in place, so the factor is the solve's one copy of the Hessian
-        factor = cho_factor(hess, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessian(
-            "Newton system is singular; check the drift map for rank deficiency"
-        ) from exc
+    u, grad, _ = obj.evaluate(x)
     history = [u]
     safeguarded = False
     pairs = []
 
     for iteration in range(DEFAULT_MAX_ITER + 1):
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = float(np.sqrt(grad @ drift.solve_gram(grad)))
         if grad_norm <= DEFAULT_TOL:
             return OptimResult(
                 theta=x,
@@ -321,7 +290,7 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
             )
         if iteration == DEFAULT_MAX_ITER:
             break
-        direction = _inverse_times(factor, pairs, -grad)
+        direction = _inverse_times(drift, pairs, -grad)
         slope = float(grad @ direction)
         step = 1.0
         while True:

@@ -17,6 +17,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 from scipy.stats import kstest
 
+from objectives import eval_un, eval_un_derivatives, eval_vn
 from tiltmc import (
     Basket,
     BestOf,
@@ -28,9 +29,6 @@ from tiltmc import (
     build_payoff,
     draw_samples,
     estimate_theta_covariance,
-    eval_un,
-    eval_un_derivatives,
-    eval_vn,
     identity_map,
     newton_minimize,
     path_drift_multi,

@@ -5,9 +5,12 @@ Claims:
       sqrt time increments, the sparse per-asset layout; the single-asset
       path drift is the one-asset per-asset map)
     - apply/apply_adjoint form an adjoint pair and compose to the Gram matrix,
-      which add_gram adds in place
-    - construction rejects rank-deficient or non-finite matrices and bad grids
-    - the identity stays implicit: its adjoint returns the block itself
+      which add_gram adds in place and solve_gram inverts
+    - construction rejects rank-deficient or non-finite matrices and bad grids,
+      by hand as through the factories, and keeps its own read-only copy of
+      the matrix
+    - the identity stays implicit: its adjoint returns the block itself, and
+      solve_gram returns its vector itself
     - dense maps round-trip through the text-file loader
 """
 
@@ -48,6 +51,10 @@ class TestIdentity:
         expected = out + np.eye(3)
         identity_map(3).add_gram(out)  # in place, Fortran order too
         assert np.array_equal(out, expected)
+
+    def test_solve_gram_returns_the_vector_itself(self):
+        q = np.array([1.0, -2.0, 0.5])
+        assert identity_map(3).solve_gram(q) is q
 
     def test_dimensions(self):
         drift = identity_map(3)
@@ -149,6 +156,38 @@ class TestDense:
     def test_rows_must_match_d(self):
         with pytest.raises(DimensionMismatch):
             DriftMap(d=3, matrix=np.ones((2, 1)))
+
+    @pytest.mark.parametrize(
+        "d, matrix, error",
+        [
+            (2, [[np.nan], [1.0]], NonFiniteInput),
+            (1, np.ones((1, 2)), RankDeficientDriftMap),
+            (2, np.ones(2), RankDeficientDriftMap),
+        ],
+        ids=["non-finite", "wide", "one-dimensional"],
+    )
+    def test_hand_built_map_is_checked(self, d, matrix, error):
+        with pytest.raises(error):
+            DriftMap(d=d, matrix=matrix)
+
+    def test_callers_array_stays_writable(self):
+        matrix = np.array([[1.0], [2.0]])
+        drift = dense_map(matrix)
+        matrix[0, 0] = 5.0
+        assert drift.matrix == approx(np.array([[1.0], [2.0]]))
+        assert not drift.matrix.flags.writeable
+
+    def test_view_of_a_base_array_is_copied(self):
+        base = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 2.0]])
+        drift = DriftMap(d=2, matrix=base[1:])
+        base[1:] = 0.0  # would make A rank-deficient after its rank check
+        assert drift.matrix == approx(np.array([[0.5, 1.0], [0.0, 2.0]]))
+        assert drift.solve_gram(drift.gram() @ np.array([1.0, -1.0])) == approx([1.0, -1.0])
+
+    def test_solve_gram_inverts_gram(self):
+        drift = dense_map(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 3.0]]))
+        q = np.array([0.3, -1.2])
+        assert drift.solve_gram(q) == approx(np.linalg.solve(drift.gram(), q), rel=1e-13)
 
     def test_dimension_mismatch(self):
         drift = dense_map(np.array([[1.0], [2.0]]))

@@ -12,24 +12,25 @@ Claims:
     - Newton lands on the closed-form minimizer in one step for a single
       sample, converges within a few iterations for the exponential payoff,
       and its accepted objective values strictly decrease
-    - a solve builds the Hessian once and gathers each nonzero row once per
-      point it evaluates: its first step is, bit for bit, the first step of
-      a textbook exact-Newton loop on the public u_n and its derivatives,
-      full or shortened, and its BFGS steps after it reach that loop's
-      minimizer within tolerance; a d = d' = 500 solve shaped like the
-      basket-ris workload converges within 10 steps
+    - a solve builds no Hessian and gathers each nonzero row once per point
+      it evaluates: for A = I its first trial point is, bit for bit,
+      -grad u_n(0), and its BFGS steps reach the minimizer of a textbook
+      exact-Newton loop on u_n and its derivatives within tolerance; a
+      d = d' = 500 solve shaped like the basket-ris workload converges
+      within 10 steps, and with 100 samples on that payoff within 35 on
+      each of 40 seeds; on anisotropic dense maps (cond(A) = 100, largest
+      singular value 10 or 100) it converges to the exact-Newton loop's v_n
+      within 1e-10 relative
     - rescaling all weights shifts u_n by a constant and leaves the
       gradient, Hessian and minimizer unchanged
-    - a rank-deficient drift map makes the Newton system singular: the
-      solve raises SingularHessian, even from a zero starting gradient, and
-      a block run reports that error for the mode, not a fallback
+    - a rank-deficient drift map cannot be built, even by hand
     - the sandwich covariance reproduces the two Gaussian-moment values
       that have closed forms, and does not change when the payoff is scaled
       by up to 1e150
     - the optimizer's passes over fixed chunks of the nonzero rows match the
       dense whole-array formulas to 1e-12 relative, and hold no copy of the
       nonzero rows: memory above the block is a few chunks plus O(n + d'^2);
-      a pass holds one gathered chunk at a time, and a solve one Hessian
+      a pass holds one gathered chunk at a time, and a solve no d' x d' array
     - one pass, shifted by a running maximum over 64-row chunks, matches a
       reference shifted by the maximum of all logits to 1e-12 relative, when
       the maximum sits in a later chunk and when the logits span over 1,400;
@@ -47,6 +48,7 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy.linalg import cho_factor, cho_solve
 
+from objectives import eval_un, eval_un_derivatives, eval_vn
 from tiltmc import (
     Basket,
     BlackScholesMulti,
@@ -56,23 +58,19 @@ from tiltmc import (
     NonFiniteInput,
     NonFiniteObjective,
     Payoff,
+    RankDeficientDriftMap,
     RngStream,
     SampleBlock,
-    SingularHessian,
     build_payoff,
     dense_map,
     draw_samples,
     estimate_theta_covariance,
-    eval_un,
-    eval_un_derivatives,
-    eval_vn,
     identity_map,
     newton_minimize,
     path_drift_multi,
     precompute_weights,
 )
 from tiltmc.config import parse_config
-from tiltmc.estimate import EstimateReport, run_block
 from tiltmc.optimize import _ARMIJO, DEFAULT_TOL, _Objective
 from tiltmc.payoffs import chunk_rows
 
@@ -93,6 +91,30 @@ def hessian_passes(monkeypatch):
 
     monkeypatch.setattr(_Objective, "evaluate", spy)
     return passes
+
+
+def _textbook_newton(table, drift):
+    """The textbook exact-Newton loop on u_n and its derivatives, with the
+    solver's Armijo rule: (minimizer, u_n after each accepted step, the
+    number of points the line search tried in the first step)."""
+    x = np.zeros(drift.d_reduced)
+    history = [eval_un(table, drift, x)]
+    trials, first_step = [], 0
+    grad, hess = eval_un_derivatives(table, drift, x)
+    while np.linalg.norm(grad) > DEFAULT_TOL:
+        direction = cho_solve(cho_factor(hess, lower=True), -grad)
+        slope, step = float(grad @ direction), 1.0
+        while True:
+            trials.append(x + step * direction)
+            if eval_un(table, drift, trials[-1]) < history[-1] + _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        x = trials[-1]
+        history.append(eval_un(table, drift, x))
+        grad, hess = eval_un_derivatives(table, drift, x)
+        if len(history) == 2:
+            first_step = len(trials)
+    return x, history, first_step
 
 
 def _table(values, *, d=None, weights_of=None):
@@ -348,33 +370,21 @@ class TestNewton:
             result = newton_minimize(table, identity_map(1))
         assert result.theta[0] == approx(3.0, abs=1e-6)
 
-    def test_rank_deficient_map_raises_singular_hessian(self):
-        # Built directly, so dense_map's rank check does not stop it first:
-        # A*G_i has a zero second coordinate, and so has the Hessian.
-        drift = DriftMap(d=2, matrix=np.array([[1.0, 0.0], [0.0, 0.0]]))
-        payoff = Payoff(2, lambda x: np.maximum(x[..., 0] + 0.5 * x[..., 1], 0.0))
-        table = precompute_weights(draw_samples(RngStream(3, 0), 2_000, 2), payoff)
-        with pytest.raises(SingularHessian):
-            newton_minimize(table, drift)
-        # A zero starting gradient: the factorization comes first.
-        with pytest.raises(SingularHessian):
-            newton_minimize(_table([[1.0, 2.0], [-1.0, -2.0]]), drift)
-
-        crude, rris = run_block(
-            payoff, drift, RngStream(3, 0), 2_000, ("crude", "rris"), level=0.95
-        )
-        assert isinstance(crude, EstimateReport) and crude.mode == "crude"
-        assert isinstance(rris, SingularHessian)
+    def test_rank_deficient_map_rejected_at_construction(self):
+        # Built by hand, not through dense_map: the map checks its own rank,
+        # so no solve can meet a singular A*A.
+        with pytest.raises(RankDeficientDriftMap):
+            DriftMap(d=2, matrix=np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("case", ["basket", "cosh"])
-    def test_matches_textbook_loop_with_one_hessian_per_solve(
+    def test_matches_textbook_loop_without_a_hessian_pass(
         self, case, hessian_passes, monkeypatch
     ):
         # The 40-asset basket takes full steps; cosh(3x) needs shortened ones.
-        # The textbook exact-Newton loop on the public u_n and its
-        # derivatives is the oracle: the solve's first step is its first
-        # step bit for bit, and both minimizers lie within 2 * DEFAULT_TOL of
-        # each other, since the Hessian is at least A*A = I here.
+        # The textbook exact-Newton loop on u_n and its derivatives is the
+        # oracle: both minimizers lie within 2 * DEFAULT_TOL of each other,
+        # since the Hessian is at least A*A = I here. The solve starts from
+        # that bound, so its first trial point is -grad u_n(0) bit for bit.
         if case == "basket":
             model = BlackScholesMulti.create(40, [1.0], 50.0, 0.2, 0.05, 0.2)
             payoff = build_payoff(model, Basket(weights=np.full(40, 1.0 / 40.0), strike=60.0))
@@ -383,26 +393,10 @@ class TestNewton:
             payoff = Payoff(1, lambda x: np.cosh(3.0 * x[..., 0]))
             table = precompute_weights(draw_samples(RngStream(11, 0), 5_000, 1), payoff)
         drift = identity_map(table.samples.d)
-
-        x = np.zeros(drift.d_reduced)
-        history = [eval_un(table, drift, x)]
-        trials = []  # every point the line search tries, in order
-        grad, hess = eval_un_derivatives(table, drift, x)
-        while np.linalg.norm(grad) > DEFAULT_TOL:
-            direction = cho_solve(cho_factor(hess, lower=True), -grad)
-            slope, step = float(grad @ direction), 1.0
-            while True:
-                trials.append(x + step * direction)
-                if eval_un(table, drift, trials[-1]) < history[-1] + _ARMIJO * step * slope:
-                    break
-                step *= 0.5
-            x = trials[-1]
-            history.append(eval_un(table, drift, x))
-            grad, hess = eval_un_derivatives(table, drift, x)
-            if len(history) == 2:
-                first_step = len(trials)
+        x, history, first_step = _textbook_newton(table, drift)
         assert len(history) - 1 >= 3
         assert (first_step > 1) == (case == "cosh")
+        grad_at_zero, _ = eval_un_derivatives(table, drift, np.zeros(drift.d_reduced))
 
         points = []
         evaluate = _Objective.evaluate
@@ -413,19 +407,18 @@ class TestNewton:
         )
         hessian_passes.clear()
         result = newton_minimize(table, drift)
-        assert len(hessian_passes) == 1
-        assert all((got == want).all() for got, want in zip(points[1:], trials[:first_step]))
-        assert result.u_history[1] == history[1]
+        assert len(hessian_passes) == 0
+        assert (points[1] == -grad_at_zero).all()
         assert np.all(np.diff(result.u_history) < 0)
         assert result.safeguarded == (case == "cosh")
         assert np.linalg.norm(result.theta - x) <= 2 * DEFAULT_TOL
         assert result.v_value == eval_vn(table, drift, result.theta)
 
-    def test_basket_ris_shaped_solve_takes_one_hessian_pass(self, hessian_passes, monkeypatch):
-        # d = d' = 500 as on the basket-ris workload, where building the
-        # Hessian costs several gradient passes. The BFGS steps grow in
-        # number as n falls toward d' (about 12 at n = 2,000, 30 at n = 300);
-        # the workload's n = 20,000 block and its 10,000-row halves take 7-8.
+    def test_basket_ris_shaped_solve_takes_no_hessian_pass(self, hessian_passes, monkeypatch):
+        # d = d' = 500 as on the basket-ris workload, where building a
+        # Hessian would cost several gradient passes. The BFGS steps grow in
+        # number as n falls toward d' (about 14 at n = 2,000, 28 at n = 100);
+        # the workload's n = 20,000 block and its 10,000-row halves take 7-9.
         # Each point the solve evaluates gathers every nonzero row once.
         cfg = Path(__file__).resolve().parent.parent / "perfbench" / "basket_ris.cfg"
         payoff = parse_config(cfg).payoff()
@@ -445,12 +438,53 @@ class TestNewton:
         )
         monkeypatch.setattr(_Objective, "chunks", counted)
         result = newton_minimize(table, identity_map(payoff.dim))
-        assert len(hessian_passes) == 1
+        assert len(hessian_passes) == 0
         assert len(points) > result.iterations
         assert sum(gathered) == len(points) * table.nonzero
         assert 1 < result.iterations <= 10
         assert result.grad_norm <= DEFAULT_TOL
         assert np.all(np.diff(result.u_history) < 0)
+
+    def test_few_nonzero_rows_against_d_reduced_converge(self):
+        # 100 samples of the basket-ris payoff against d' = 500: the softmax
+        # weights concentrate on a few rows, the curvature at the optimum is
+        # far from the curvature at the start, and a solve seeded with the
+        # exact Hessian at 0 reached the 50-step cap on 3 of these seeds.
+        cfg = Path(__file__).resolve().parent.parent / "perfbench" / "basket_ris.cfg"
+        payoff = parse_config(cfg).payoff()
+        drift = identity_map(payoff.dim)
+        steps = []
+        for seed in range(40):
+            table = precompute_weights(draw_samples(RngStream(seed), 100, payoff.dim), payoff)
+            result = newton_minimize(table, drift)
+            assert result.grad_norm <= DEFAULT_TOL
+            steps.append(result.iterations)
+        assert max(steps) <= 35
+
+    @pytest.mark.parametrize("lowest", [0.1, 1.0])
+    @pytest.mark.parametrize("d_reduced", [20, 50, 200])
+    def test_anisotropic_dense_map_matches_exact_newton(self, d_reduced, lowest):
+        # A = U diag(sigma) V* with singular values over two decades from
+        # ``lowest`` on a basket of d = 2 d' assets, so the A*A seed is far
+        # from a multiple of the identity. Both solves stop at a gradient
+        # below DEFAULT_TOL, and v_n is flat to second order there. With
+        # sigma up to 100 the Euclidean gradient in v is up to 100 times the
+        # gradient in theta, and a stop on it asks for a decrease of u_n
+        # below rounding, which the line search cannot find.
+        rng = np.random.default_rng(d_reduced)
+        d = 2 * d_reduced
+        left = np.linalg.qr(rng.standard_normal((d, d_reduced)))[0]
+        right = np.linalg.qr(rng.standard_normal((d_reduced, d_reduced)))[0]
+        sigma = np.geomspace(lowest, 100.0 * lowest, d_reduced)
+        drift = dense_map(left * sigma @ right.T)
+        assert np.linalg.cond(drift.matrix) == approx(100.0)
+        model = BlackScholesMulti.create(d, [1.0], 50.0, 0.2, 0.05, 0.2)
+        payoff = build_payoff(model, Basket(weights=np.full(d, 1.0 / d), strike=55.0))
+        table = precompute_weights(draw_samples(RngStream(d_reduced, 0), 4_000, d), payoff)
+        result = newton_minimize(table, drift)
+        assert result.grad_norm <= DEFAULT_TOL
+        x, _, _ = _textbook_newton(table, drift)
+        assert result.v_value == approx(eval_vn(table, drift, x), rel=1e-10)
 
     def test_deterministic_result(self):
         block = draw_samples(RngStream(12, 0), 1_000, 3)
@@ -676,9 +710,8 @@ class TestChunkedPasses:
         hessian_pass = peak(lambda: obj.evaluate(np.zeros(d), hessian=True))
         assert hessian_pass < chunk_bytes + square_bytes + chunk_bytes // 2
 
-        # A solve factors its one Hessian in place: whenever it enters a
-        # gradient-only pass it holds the factor and O(n) vectors, not a
-        # second d' x d' array.
+        # A solve builds no Hessian: whenever it enters a gradient-only pass
+        # it holds O(n) vectors and its BFGS pairs, not a d' x d' array.
         evaluate = _Objective.evaluate
         entries = []
 

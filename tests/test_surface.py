@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "RngStream",
     "SampleBlock",
     "SampleBudgetExceeded",
-    "SingularHessian",
     "TabulatedVol",
     "TiltmcError",
     "WeightTable",
@@ -47,9 +46,6 @@ PUBLIC_NAMES = [
     "dense_map",
     "draw_samples",
     "estimate_theta_covariance",
-    "eval_un",
-    "eval_un_derivatives",
-    "eval_vn",
     "identity_map",
     "load_dense_map",
     "newton_minimize",
@@ -73,4 +69,4 @@ def _exports():
 
 def test_public_names_snapshot():
     assert _exports() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 48
