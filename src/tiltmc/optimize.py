@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 from .drift import DriftMap
 from .errors import ConvergenceFailure, DegeneratePayoff, NonFiniteObjective
@@ -57,32 +56,48 @@ class WeightTable:
     """A sample block with its payoff and ``values`` = f(G_i), evaluated once.
 
     The crude estimate, the fallback, the optimizer's weights w_i = f(G_i)^2
-    and every same-sample mode read ``values``; ``nonzero`` counts w_i > 0.
-    Nothing is checked here: each user checks what it needs.
+    and every same-sample mode read ``values``. One scan of the weights
+    gives ``support``, the indices of the rows with w_i > 0 in row order (a
+    value whose square underflows has zero weight), and ``finite``, whether
+    every w_i is finite; ``nonzero`` is the length of ``support``. Nothing
+    is checked here: each user checks what it needs, so crude prices a table
+    that the optimizer rejects.
     """
 
     samples: SampleBlock
     payoff: Payoff
     values: np.ndarray
-    nonzero: int
+    support: np.ndarray
+    finite: bool
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        self.support.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.values.size
 
+    @property
+    def nonzero(self) -> int:
+        return self.support.size
+
     def rows(self, lo: int, hi: int) -> WeightTable:
-        """Rows lo..hi-1 as a table of their own, with its own ``nonzero``
-        count; its samples and values are views of this table's, not copies."""
+        """Rows lo..hi-1 as a table of their own, with its own ``support``;
+        its samples and values are views of this table's, not copies."""
         block = SampleBlock(values=self.samples.values[lo:hi], provenance=self.samples.provenance)
         return _table(block, self.payoff, self.values[lo:hi])
 
 
 def _table(samples: SampleBlock, payoff: Payoff, values: np.ndarray) -> WeightTable:
-    nonzero = int(np.count_nonzero(values * values > 0.0))
-    return WeightTable(samples=samples, payoff=payoff, values=values, nonzero=nonzero)
+    weights = values * values
+    return WeightTable(
+        samples=samples,
+        payoff=payoff,
+        values=values,
+        support=np.flatnonzero(weights > 0.0),
+        finite=bool(np.isfinite(weights).all()),
+    )
 
 
 def precompute_weights(samples: SampleBlock, payoff: Payoff) -> WeightTable:
@@ -94,31 +109,30 @@ class _Objective:
     """u_n and its derivatives for a fixed (weights, drift) pair.
 
     Holds log w_i and the indices ``rows`` of the nonzero-weight samples,
-    and ``source`` = A*G for the whole block; for A = I that is the block
-    itself, so nothing is copied. It keeps the drift, not A*A: a point
-    takes A*A v as A*(A v), and only a Hessian pass, which only the sandwich
-    covariance takes, forms A*A. A pass gathers the rows A*G_i of one chunk
-    of ``rows`` at a time, ``chunk_rows(d')`` of them as in the payoff's
-    passes, and drops it before gathering the next, so it holds one chunk
-    of them beyond O(n), and a Hessian pass the Hessian plus one d' x d'
-    temporary more. A point costs O(n_nz d'), and a Hessian O(n_nz d'^2),
+    which are the table's ``support``, and ``source`` = A*G for the whole
+    block; for A = I that is the block itself, so nothing is copied. It
+    keeps the drift, not A*A: a point takes A*A v as A*(A v), and only a
+    Hessian pass, which only the sandwich covariance takes, forms A*A. A
+    pass gathers the rows A*G_i of one chunk of ``rows`` at a time,
+    ``chunk_rows(d')`` of them as in the payoff's passes, and drops it
+    before gathering the next, so it holds one chunk of them beyond O(n),
+    and a Hessian pass the Hessian plus one d' x d' temporary more. A point costs O(n_nz d'), and a Hessian O(n_nz d'^2),
     not O(n d d').
     Raises NonFiniteObjective if some w_i = f(G_i)^2 is not finite, and
     DegeneratePayoff if every w_i is zero (u_n then has no minimizer).
     """
 
     def __init__(self, table: WeightTable, drift: DriftMap):
-        weights = table.values * table.values
-        if not np.isfinite(weights).all():
+        if not table.finite:
             raise NonFiniteObjective("payoff produced non-finite values on the sample block")
-        rows = np.flatnonzero(weights > 0.0)
-        if rows.size == 0:
+        if table.nonzero == 0:
             raise DegeneratePayoff(
                 f"payoff vanished on all {table.n} samples; cannot tune a tilt on it"
             )
         self.n = table.n
-        self.rows = rows
-        self.log_w = np.log(weights[rows])
+        self.rows = table.support
+        values = table.values[self.rows]
+        self.log_w = np.log(values * values)
         self.source = drift.apply_adjoint(table.samples.values)
         self.drift = drift
         self.d_reduced = drift.d_reduced
@@ -142,7 +156,14 @@ class _Objective:
         """
         shift, total = -np.inf, 0.0
         first = np.zeros(self.d_reduced)
-        second = np.zeros((self.d_reduced, self.d_reduced), order="F") if hessian else None
+        second = None
+        if hessian:
+            # Imported here, not at module level: only the sandwich covariance
+            # builds a Hessian, and a process that never does so skips loading
+            # scipy.linalg, about 6 MiB of peak RSS and 50 ms of launch (measured).
+            from scipy.linalg.blas import dsyrk
+
+            second = np.zeros((self.d_reduced, self.d_reduced), order="F")
         for part, chunk in self.chunks():
             # np.dot, not @: numpy's matmul takes a per-row loop for a one-column chunk.
             logits = self.log_w[part] - np.dot(chunk, v)

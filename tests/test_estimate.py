@@ -22,7 +22,9 @@ Claims:
       payoffs, and two_stage's interval, built from its pooled summands,
       holds the price at the nominal rate on a d = 50 basket
     - the block-by-tilt product gives the same bits as a matmul on one-column
-      and wide blocks
+      and wide blocks, and the summands formed chunk by chunk in place the
+      bits of the whole-block formula, on a block or a half not a whole
+      number of chunks long
     - a coverage run with a drift map that does not fit the payoff is a
       caller error, raised before any replication is drawn
     - under glibc, a repeated block reuses freed heap memory instead of
@@ -31,13 +33,20 @@ Claims:
     - each threaded call starts its own pool: back-to-back calls agree, a
       threaded call made on a worker does not wait for the pool it runs on,
       and an error returns only after every item already started has finished
+    - a fresh process that imports the CLI and runs identity-drift blocks
+      never loads scipy.linalg; path and dense maps and the sandwich
+      covariance, which load it, still work in that process
 """
 
 import ctypes
+import os
 import platform
 import resource
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +82,7 @@ from tiltmc import (
 from tiltmc.config import builtin_experiment
 from tiltmc.estimate import run_block
 from tiltmc.optimize import _Objective
+from tiltmc.payoffs import chunk_rows
 
 EXP_PAYOFF = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
 
@@ -129,6 +139,29 @@ class TestTiltedMean:
         obj.evaluate(theta)
         assert len(products) == len(chunks)
         assert all((got == want).all() for got, want in zip(products, chunks))
+
+    @pytest.mark.parametrize(
+        "n, d, lo", [(70_000, 1, 0), (20_000, 5, 0), (1_504, 500, 0), (9_000, 120, 4_328)]
+    )
+    def test_chunked_summands_match_whole_block_formula_bits(self, n, d, lo):
+        # n - lo is not a multiple of chunk_rows(d), and the last case is a
+        # two_stage-style half that starts off a 64-row boundary. Each chunk's
+        # summands, formed in place, have the bits of the whole-block formula.
+        # n - lo is a multiple of 32: a threaded BLAS splits the reference's
+        # one whole-block product between its threads, and an unaligned split
+        # would change the reference's bits, not the chunked ones.
+        rng = np.random.default_rng(n + d)
+        block = SampleBlock(rng.standard_normal((n, d)), RngStream(0))
+        payoff = Payoff(d, lambda x: np.maximum(x[..., 0], 0.0) + np.exp(0.1 * x[..., -1]))
+        table = precompute_weights(block, payoff).rows(lo, n)
+        assert (n - lo) % chunk_rows(d) != 0 and n - lo > chunk_rows(d)
+        theta = rng.uniform(-0.05, 0.05, d)
+        expected = np.dot(table.samples.values, theta)
+        np.negative(expected, out=expected)
+        expected -= 0.5 * float(theta @ theta)
+        np.exp(expected, out=expected)
+        expected *= payoff(table.samples.values + theta)
+        assert (tilted_terms(table, theta) == expected).all()
 
     def test_dimension_check(self):
         table = precompute_weights(draw_samples(RngStream(5, 0), 10, 1), EXP_PAYOFF)
@@ -546,3 +579,47 @@ class TestBlockMemory:
         self._block()
         self._block()
         assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+_LINALG_PROBE = """
+import sys
+import numpy as np
+import tiltmc.cli
+from tiltmc import (
+    Payoff, RngStream, dense_map, draw_samples, estimate_theta_covariance,
+    identity_map, newton_minimize, path_drift_multi, precompute_weights,
+)
+from tiltmc.config import builtin_experiment
+from tiltmc.estimate import run_block
+
+spec = builtin_experiment("digital-coverage", seed=7)[0].spec
+payoff = spec.payoff()
+outcomes = run_block(payoff, identity_map(1), RngStream(7, 0), 2_000, ("ris", "two_stage"), level=0.95)
+assert [o.fallback for o in outcomes] == [False, False], outcomes
+loaded_by_identity_runs = "scipy.linalg" in sys.modules
+
+payoff = Payoff(4, lambda x: np.exp(0.2 * x.sum(axis=-1)))
+table = precompute_weights(draw_samples(RngStream(3), 2_000, 4), payoff)
+for drift in (path_drift_multi([0.5, 1.0], 2), dense_map(np.arange(1.0, 9.0).reshape(4, 2))):
+    theta = newton_minimize(table, drift).theta
+    assert np.isfinite(estimate_theta_covariance(table, drift, theta)).all()
+assert (dense_map([[2.0], [0.0]]).solve_gram(np.array([8.0])) == [2.0]).all()
+print(loaded_by_identity_runs, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_identity_drift_runs_never_load_scipy_linalg():
+    # Only a drift matrix's Cholesky factor and the sandwich covariance's
+    # Hessian use scipy.linalg; a fresh process that runs identity-drift
+    # blocks, the CLI imported, never loads it, and the maps and the
+    # covariance that need it still work once they load it.
+    src = str(Path(tiltmc.estimate.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", _LINALG_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]

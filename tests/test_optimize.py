@@ -1,10 +1,11 @@
 """Optimizer tests.
 
 Claims:
-    - the weight table stores f(G_i) and counts nonzero w_i = f(G_i)^2 (an
-      underflowed square counts as zero); the objective squares it and
-      rejects all-zero and non-finite tables; a sample block with a
-      non-finite entry fails the payoff evaluation
+    - the weight table stores f(G_i), the rows with w_i = f(G_i)^2 > 0 (an
+      underflowed square counts as zero) and whether every w_i is finite;
+      the objective reads both and rejects all-zero and non-finite tables,
+      which crude still prices; a sample block with a non-finite entry fails
+      the payoff evaluation
     - v_n and u_n satisfy v_n = exp(u_n)/n to relative 1e-10 and the
       closed single-sample / two-sample values
     - gradient and Hessian match central finite differences of u_n
@@ -69,6 +70,7 @@ from tiltmc import (
     newton_minimize,
     path_drift_multi,
     precompute_weights,
+    run_pipeline,
 )
 from tiltmc.config import parse_config
 from tiltmc.optimize import _ARMIJO, DEFAULT_TOL, _Objective
@@ -161,6 +163,30 @@ class TestWeights:
         assert table.nonzero == 0
         with pytest.raises(DegeneratePayoff):
             newton_minimize(table, identity_map(1))
+
+    def test_support_leaves_out_underflowed_squares(self):
+        # One scan gives the rows with f^2 > 0: 1e-200 squares to zero and is
+        # left out like an exact zero. A square that overflows makes the
+        # table non-finite; only the solve rejects that, and crude prices it.
+        block = draw_samples(RngStream(5, 4), 300, 1)
+        tiny, huge = np.arange(300) % 3 == 1, np.arange(300) == 299
+        values = np.where(np.arange(300) % 3 == 0, 0.0, np.where(tiny, 1e-200, 2.0))
+        table = precompute_weights(block, Payoff(1, lambda x: values[: x.shape[0]]))
+        expected = np.flatnonzero(values == 2.0)
+        assert table.support.tolist() == expected.tolist()
+        assert table.nonzero == expected.size and table.finite
+        obj = _Objective(table, identity_map(1))
+        assert obj.rows is table.support
+        assert (obj.log_w == np.log(4.0)).all()
+        assert newton_minimize(table, identity_map(1)).grad_norm <= DEFAULT_TOL
+
+        overflowing = np.where(huge, 1e200, values)
+        with np.errstate(over="ignore"):
+            table = precompute_weights(block, Payoff(1, lambda x: overflowing[: x.shape[0]]))
+            assert not table.finite and table.nonzero == expected.size
+            with pytest.raises(NonFiniteObjective):
+                newton_minimize(table, identity_map(1))
+            assert run_pipeline(table, "crude").price == overflowing.mean()
 
     def test_non_finite_weights_raise(self):
         block = draw_samples(RngStream(5, 3), 1_000, 1)
