@@ -64,9 +64,9 @@ class DriftMap:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         # Imported here, not at module level: an identity-drift process then
-        # never loads scipy.linalg, about 6 MiB of peak RSS and 50 ms of launch
-        # (measured). ``solve_gram`` calls the bound solver, so the per-step
-        # path runs no import statement.
+        # never loads scipy.linalg, about 6 MiB of peak RSS and 40-50 ms of
+        # launch (measured). ``solve_gram`` calls the bound solver, so the
+        # per-step path runs no import statement.
         from scipy.linalg import cho_factor, cho_solve
 
         try:

@@ -116,8 +116,8 @@ class _Objective:
     pass gathers the rows A*G_i of one chunk of ``rows`` at a time,
     ``chunk_rows(d')`` of them as in the payoff's passes, and drops it
     before gathering the next, so it holds one chunk of them beyond O(n),
-    and a Hessian pass the Hessian plus one d' x d' temporary more. A point costs O(n_nz d'), and a Hessian O(n_nz d'^2),
-    not O(n d d').
+    and a Hessian pass the Hessian plus one d' x d' temporary more. A
+    point costs O(n_nz d'), and a Hessian O(n_nz d'^2), not O(n d d').
     Raises NonFiniteObjective if some w_i = f(G_i)^2 is not finite, and
     DegeneratePayoff if every w_i is zero (u_n then has no minimizer).
     """
@@ -160,7 +160,8 @@ class _Objective:
         if hessian:
             # Imported here, not at module level: only the sandwich covariance
             # builds a Hessian, and a process that never does so skips loading
-            # scipy.linalg, about 6 MiB of peak RSS and 50 ms of launch (measured).
+            # scipy.linalg, about 6 MiB of peak RSS and 40-50 ms of launch
+            # (measured).
             from scipy.linalg.blas import dsyrk
 
             second = np.zeros((self.d_reduced, self.d_reduced), order="F")
