@@ -290,17 +290,19 @@ def main(argv=None) -> int:
     try:
         if args.command == "price":
             name, rows = _load_rows(args.config, args)
-            spec = rows[0].spec
-            fmt = args.format or spec.out_format
+            fmt = args.format or rows[0].spec.out_format
             results = run_experiment(name, rows, threads=threads, record_failures=False)
             if fmt == "csv":
                 _write(emit_report(results, "csv"), args.out)
             else:
-                blocks = [spec.describe()]
-                blocks += [
-                    f"--- {row.label} / {row.report.mode} ---\n{row.report.format_block()}"
-                    for row in results
-                ]
+                reports = iter(result.report for result in results)
+                blocks = []
+                for row in rows:  # each row's description, then a block per mode
+                    blocks.append(row.spec.describe())
+                    blocks += [
+                        f"--- {row.label} / {report.mode} ---\n{report.format_block()}"
+                        for report in (next(reports) for _ in row.spec.modes)
+                    ]
                 _write("\n\n".join(blocks) + "\n", args.out)
             return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .drift import DriftMap, identity_map, load_dense_map, path_drift_multi
-from .errors import ConfigError, IncompatibleClaim
+from .errors import ConfigError, IncompatibleClaim, InvalidGrid
 from .estimate import MODES
 from .gaussian import DEFAULT_SAMPLE_BUDGET, RngStream
 from .payoffs import (
@@ -43,6 +43,12 @@ DEFAULT_LEVEL = 0.95
 DEFAULT_MODES = ("crude", "ris")
 
 
+def _require(ok, field: str, rule: str) -> None:
+    """A config error on ``field`` unless ``ok``: the value must ``rule``."""
+    if not ok:
+        raise ConfigError(f"'{field}' must {rule}", field=field)
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """One fully resolved pricing experiment (one parameter row)."""
@@ -61,8 +67,7 @@ class ExperimentSpec:
     def __post_init__(self):
         # Every spec passes here (parsed, builtin or overridden by ``replace``),
         # so a run the engine would refuse is a config error on its field.
-        if self.n < 1:
-            raise ConfigError("'n' must be >= 1", field="n")
+        _require(self.n >= 1, "n", "be >= 1")
         if self.n * self.dim > DEFAULT_SAMPLE_BUDGET:
             raise ConfigError(
                 f"n * dim = {self.n} * {self.dim} exceeds the sample budget of "
@@ -73,8 +78,7 @@ class ExperimentSpec:
             RngStream(self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc), field="seed") from exc
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError("'level' must lie in (0, 1)", field="level")
+        _require(0.0 < self.level < 1.0, "level", "lie in (0, 1)")
         if not self.modes or len(set(self.modes) & set(MODES)) < len(self.modes):  # known, distinct
             raise ConfigError(
                 f"'modes' must be distinct names from {', '.join(MODES)}; got {self.modes!r}",
@@ -82,8 +86,7 @@ class ExperimentSpec:
             )
         if "two_stage" in self.modes and self.n < 2:
             raise ConfigError("two_stage needs n >= 2 samples to tune a tilt on each half", field="n")
-        if self.replications is not None and self.replications < 1:
-            raise ConfigError("'replications' must be >= 1", field="replications")
+        _require(self.replications is None or self.replications >= 1, "replications", "be >= 1")
 
     @property
     def dim(self) -> int:
@@ -250,9 +253,7 @@ class _Fields:
             raise ConfigError(f"unknown key '{key}' in [{self.name}]", line=line, field=key)
 
 
-def _broadcast(values: np.ndarray | None, n: int, field: str) -> np.ndarray:
-    if values is None:
-        raise ConfigError(f"missing required key '{field}'", field=field)
+def _broadcast(values: np.ndarray, n: int, field: str) -> np.ndarray:
     if values.size == 1:
         return np.full(n, float(values[0]))
     if values.size != n:
@@ -269,68 +270,68 @@ def _build_model(section: _Section):
         assets = fields.integer("assets", default=1)
         steps = fields.integer("steps")
         maturity = fields.number("maturity")
-        spot = _broadcast(fields.vector("spot", required=True), assets, "spot")
-        vol = _broadcast(fields.vector("vol", required=True), assets, "vol")
+        spot = fields.vector("spot", required=True)
+        vol = fields.vector("vol", required=True)
         rate = fields.number("rate", required=True)
         rho = fields.number("rho", default=0.0)
         times = fields.vector("times")
-        fields.finish()
-        if assets < 1:
-            raise ConfigError("'assets' must be >= 1", field="assets")
-        if assets > 1 and not -1.0 / (assets - 1) < rho < 1.0:
-            raise ConfigError(
-                f"rho must lie in (-1/(I-1), 1); with I={assets} assets that is "
-                f"({-1.0 / (assets - 1):.6g}, 1), got {rho}",
-                field="rho",
-            )
-        if times is None:
-            steps = 1 if steps is None else steps
-            if maturity is None:
-                raise ConfigError("missing required key 'maturity'", field="maturity")
-            if steps < 1:
-                raise ConfigError("'steps' must be >= 1", field="steps")
-            if maturity <= 0:
-                raise ConfigError("'maturity' must be positive", field="maturity")
-            times = maturity / steps * np.arange(1, steps + 1)
-        elif maturity is not None and abs(times[-1] - maturity) > 1e-12:
-            raise ConfigError(
-                f"'times' ends at {times[-1]} but 'maturity' says {maturity}", field="times"
-            )
-        elif steps is not None and steps != times.size:
-            raise ConfigError(
-                f"'steps' is {steps} but 'times' lists {times.size} dates", field="steps"
-            )
-        try:
-            return BlackScholesMulti.create(assets, times, spot, vol, rate, rho)
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="model") from exc
-
-    spot = fields.number("spot", required=True)
-    rate = fields.number("rate", required=True)
-    maturity = fields.number("maturity", required=True)
-    steps = fields.integer("steps", required=True)
-    vol_kind = fields.string("vol_kind", required=True, choices=("constant", "power", "table"))
-    if vol_kind == "constant":
-        vol_fn = ConstantVol(fields.number("vol_sigma", required=True))
-    elif vol_kind == "power":
-        sigma = fields.number("vol_sigma", required=True)
-        gamma = fields.number("vol_gamma", required=True)
-        floor, cap = fields.number("vol_floor", default=0.01), fields.number("vol_cap", default=2.0)
-        try:
-            vol_fn = PowerLawVol(sigma=sigma, gamma=gamma, ref_spot=spot, floor=floor, cap=cap)
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="vol_floor") from exc
     else:
-        table_path = fields.string("vol_table", required=True)
-        try:
-            vol_fn = TabulatedVol.from_csv(table_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(str(exc), field="vol_table") from exc
+        spot = fields.number("spot", required=True)
+        rate = fields.number("rate", required=True)
+        maturity = fields.number("maturity", required=True)
+        steps = fields.integer("steps", required=True)
+        vol_kind = fields.string("vol_kind", required=True, choices=("constant", "power", "table"))
+        if vol_kind == "constant":
+            vol_fn = ConstantVol(fields.number("vol_sigma", required=True))
+        elif vol_kind == "power":
+            sigma = fields.number("vol_sigma", required=True)
+            gamma = fields.number("vol_gamma", required=True)
+            floor = fields.number("vol_floor", default=0.01)
+            cap = fields.number("vol_cap", default=2.0)
+            try:
+                vol_fn = PowerLawVol(sigma=sigma, gamma=gamma, ref_spot=spot, floor=floor, cap=cap)
+            except ValueError as exc:
+                raise ConfigError(str(exc), field="vol_floor") from exc
+        else:
+            table_path = fields.string("vol_table", required=True)
+            try:
+                vol_fn = TabulatedVol.from_csv(table_path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(str(exc), field="vol_table") from exc
     fields.finish()
-    try:
+    # The model constructors' own rules, checked first so that an error names its key.
+    _require(np.all(spot > 0), "spot", "be positive")
+    _require(rate >= 0, "rate", "be nonnegative")
+    _require(steps is None or steps >= 1, "steps", "be >= 1")
+    _require(maturity is None or maturity > 0, "maturity", "be positive")
+    if kind == "localvol":
         return LocalVol1D(spot=spot, rate=rate, maturity=maturity, n_steps=steps, vol_fn=vol_fn)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="model") from exc
+
+    _require(assets >= 1, "assets", "be >= 1")
+    spot, vol = _broadcast(spot, assets, "spot"), _broadcast(vol, assets, "vol")
+    _require(np.all(vol > 0), "vol", "be positive")
+    if assets > 1 and not -1.0 / (assets - 1) < rho < 1.0:
+        raise ConfigError(
+            f"rho must lie in (-1/(I-1), 1); with I={assets} assets that is "
+            f"({-1.0 / (assets - 1):.6g}, 1), got {rho}",
+            field="rho",
+        )
+    if times is None:
+        if maturity is None:
+            raise ConfigError("missing required key 'maturity'", field="maturity")
+        steps = 1 if steps is None else steps
+        times = maturity / steps * np.arange(1, steps + 1)
+    elif maturity is not None and abs(times[-1] - maturity) > 1e-12:
+        raise ConfigError(
+            f"'times' ends at {times[-1]} but 'maturity' says {maturity}", field="times"
+        )
+    elif steps is not None and steps != times.size:
+        raise ConfigError(f"'steps' is {steps} but 'times' lists {times.size} dates", field="steps")
+    try:
+        return BlackScholesMulti.create(assets, times, spot, vol, rate, rho)
+    except ValueError as exc:  # all that is left: the grid, or rounding at a bound of rho
+        field = "times" if isinstance(exc, InvalidGrid) else "rho"
+        raise ConfigError(str(exc), field=field) from exc
 
 
 def _build_claim(section: _Section, model):

@@ -11,7 +11,6 @@ back unchanged instead of multiplying it by an explicit d x d matrix.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,14 +38,14 @@ class DriftMap:
     A map checks itself when built, so a hand-built one is held to the same
     rules as the factories': it keeps a read-only float64 copy of
     ``matrix``, which must be d x d' with d >= d' >= 1, finite, and of full
-    column rank. The rank check is the Cholesky factorization of A*A, and
-    ``solve_gram`` reuses that factor. The identity holds no matrix and no
-    factor, and never loads ``scipy.linalg``.
+    column rank. The rank check is numpy's Cholesky factor L of A*A, and the
+    map keeps (A*A)^{-1} = L^{-*} L^{-1} as one read-only d' x d' array for
+    ``solve_gram``. The identity holds no matrix and no inverse.
     """
 
     d: int
     matrix: np.ndarray | None = None
-    _gram_solve: functools.partial | None = field(default=None, init=False, repr=False)
+    _gram_inverse: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.matrix is None:
@@ -63,19 +62,14 @@ class DriftMap:
             raise NonFiniteInput("drift matrix has NaN or infinite entries")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        # Imported here, not at module level: an identity-drift process then
-        # never loads scipy.linalg, about 6 MiB of peak RSS and 40-50 ms of
-        # launch (measured). ``solve_gram`` calls the bound solver, so the
-        # per-step path runs no import statement.
-        from scipy.linalg import cho_factor, cho_solve
-
         try:
-            factor = cho_factor(self.gram(), lower=True)
+            inverse_factor = np.linalg.inv(np.linalg.cholesky(self.gram()))  # L^{-1}
         except np.linalg.LinAlgError as exc:
             raise RankDeficientDriftMap(
                 "A*A is not positive definite; the drift map lacks full column rank"
             ) from exc
-        object.__setattr__(self, "_gram_solve", functools.partial(cho_solve, factor))
+        object.__setattr__(self, "_gram_inverse", inverse_factor.T @ inverse_factor)
+        self._gram_inverse.setflags(write=False)
 
     @property
     def d_reduced(self) -> int:
@@ -108,7 +102,7 @@ class DriftMap:
 
     def solve_gram(self, q: np.ndarray) -> np.ndarray:
         """(A*A)^{-1} q for a d'-vector q; the identity returns q itself."""
-        return q if self.matrix is None else self._gram_solve(q)
+        return q if self.matrix is None else self._gram_inverse @ q
 
     def _check_reduced(self, v) -> np.ndarray:
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))

@@ -226,9 +226,10 @@ def run_pipeline(
         Same-sample tilt restricted to the supplied drift map's subspace.
     two_stage
         Cross-fitted: the table is split at row n // 2, a tilt is tuned on
-        each half, and each half's summands use the tilt tuned on the other
-        half. The n summands are pooled in row order. The report carries the
-        first half's tilt and optimizer result.
+        each half in the drift map's subspace as in ``rris`` (the identity
+        when none is given), and each half's summands use the tilt tuned on
+        the other half. The n summands are pooled in row order. The report
+        carries the first half's tilt and optimizer result.
 
     Every mode evaluates the same estimator M_n by one rule: it is a list
     of row parts, each with the tilt its summands take. Crude and a

@@ -263,7 +263,7 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
     BFGS starts from the Hessian's lower bound A*A, so the first direction
     is -(A*A)^{-1} grad u_n and no Hessian is ever built. Every direction
     comes from a two-loop recursion over the accepted steps s and gradient
-    changes y, so no inverse is ever formed either; ``DriftMap.solve_gram``
+    changes y, so no inverse Hessian is formed either; ``DriftMap.solve_gram``
     applies (A*A)^{-1}, which for the identity is no work at all. A pair
     with y.s <= 0 is skipped, which keeps the implied inverse positive
     definite; strong convexity rules such pairs out up to rounding. Each

@@ -3,7 +3,10 @@
 Claims:
     - experiment output round-trips through CSV bit-exactly and the text
       table is aligned
-    - an empty row set emits only the CSV header
+    - an empty row set emits only the CSV header; a failed row shows as
+      ERROR with its message in the text table
+    - price prints each parameter row's description before that row's mode
+      blocks, and its CSV is the experiment CSV of the same run
     - equal seed and config give byte-identical CSV independent of threads
     - exit codes: 0 success, 2 config error (a config file that is not
       UTF-8, or two_stage on fewer than 2 samples, too), 3 numerical failure
@@ -37,7 +40,7 @@ import tiltmc.estimate
 import tiltmc.payoffs
 from tiltmc import DegeneratePayoff, RngStream, normal_draws
 from tiltmc.cli import _REFERENCE_STREAM_ID, emit_report, main, reference_price, run_experiment
-from tiltmc.config import builtin_experiment, parse_config
+from tiltmc.config import ExperimentRow, builtin_experiment, parse_config, with_overrides
 from tiltmc.oracles import bs_call_price, bs_digital_price, bs_put_price
 from tiltmc.payoffs import chunk_rows
 
@@ -131,8 +134,6 @@ class TestEmit:
             builtin_experiment("table1", n=200, modes=("crude",))[0],
             builtin_experiment("table3", n=200, modes=("crude",))[0],
         ]
-        from tiltmc.config import ExperimentRow
-
         rows.insert(0, ExperimentRow(label="doomed", spec=doomed))
         results = run_experiment("mixed", rows)
         failed = [r for r in results if r.report is None]
@@ -142,6 +143,16 @@ class TestEmit:
         out = emit_report(results, "csv")
         assert out.splitlines()[0].endswith(",error")
         assert "doomed" in out
+
+
+    def test_experiment_text_marks_a_failed_row(self, tmp_path, capsys):
+        path = tmp_path / "doomed.cfg"
+        path.write_text(DIGITAL_CFG.replace("level = 140", "level = 1e9").replace("n = 4000", "n = 50"))
+        assert main(["experiment", str(path), "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[:2] == ["config", "crude"]
+        assert lines[2].split()[:3] == ["config", "ERROR", "ris:"]
+        assert "payoff vanished on all 50 samples" in lines[2]
 
 
 class TestPayoffPasses:
@@ -285,6 +296,21 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "d = 1" in out
         assert "price" in out
+
+    def test_price_prints_each_rows_description_before_its_blocks(self, capsys):
+        assert main(["price", "table3", "--n", "2000"]) == 0
+        out = capsys.readouterr().out
+        described = [line for line in out.splitlines() if ": d = 24, d' = 1," in line]
+        assert [line.split(":")[0] for line in described] == ["L=70", "L=80", "L=90", "L=95"]
+        for row in builtin_experiment("table3", n=2000):
+            assert f"{row.spec.describe()}\n\n--- {row.label} / crude ---" in out
+
+    def test_price_csv(self, tmp_path, capsys):
+        config = _digital_config(tmp_path)
+        assert main(["price", config, "--n", "500", "--format", "csv"]) == 0
+        spec = with_overrides(parse_config(config), n=500)
+        expected = emit_report(run_experiment(config, [ExperimentRow("config", spec)]), "csv")
+        assert capsys.readouterr().out == expected
 
 
 class TestEnvironmentOverrides:

@@ -14,6 +14,13 @@ Claims:
       or repeated mode) or replication count on its own field
     - a vol table entry that is not finite, or a vol floor above the cap,
       fails at parse time and names the field
+    - a rule a model's constructor enforces (positive spot, vol and maturity,
+      a nonnegative rate, steps >= 1, an increasing time grid, a correlation
+      matrix that factors) fails on the key that broke it, not on 'model';
+      so does a negative asset count
+    - structural errors (a duplicate section, a key before any section, an
+      empty value) name their line, and each bad config exits 2 with the
+      parser's message
     - each of the seven [claim] kinds parses to its Basket, Digital or
       BestOf claim and builds its payoff; a single-asset kind on a
       two-asset model fails on field 'claim'
@@ -365,19 +372,63 @@ modes = crude rris
             ("seed = 7", "seed = 7\nlevel = nan", "'level' must be a finite number; got 'nan'", 16, "level"),
             ("seed = 7", "seed = 7\nformat = xml", "'format' must be one of text, csv; got 'xml'", 16, "format"),
             ("seed = 7\n", "", "missing required key 'seed' in [run]", None, "seed"),
+            ("seed = 7", "seed = 7\n[run]", "duplicate section [run]", 16, None),
+            ("[model]", "n = 5\n[model]", "key outside of any [section]", 2, None),
+            ("level = 140", "level =", "expected 'key = value'", 11, None),
+            ("maturity = 1", "assets = 0\nmaturity = 1", "'assets' must be >= 1", None, "assets"),
+            ("maturity = 1", "assets = -1\nmaturity = 1", "'assets' must be >= 1", None, "assets"),
+            ("maturity = 1", "steps = 0\nmaturity = 1", "'steps' must be >= 1", None, "steps"),
+            ("maturity = 1\n", "", "missing required key 'maturity'", None, "maturity"),
+            ("maturity = 1", "maturity = 0", "'maturity' must be positive", None, "maturity"),
+            ("seed = 7", "seed = 7\nlevel = 1.5", "'level' must lie in (0, 1)", None, "level"),
+            (
+                "seed = 7", "seed = 7\nreplications = 0",
+                "'replications' must be >= 1", None, "replications",
+            ),
         ],
         ids=[
             "model-choice", "model-number", "model-nan", "model-integer", "model-list",
             "model-missing", "claim-number", "claim-nan", "claim-list", "claim-choice",
             "claim-missing", "run-integer", "run-nan", "run-choice", "run-missing",
+            "duplicate-section", "key-before-section", "empty-value", "assets-zero",
+            "assets-negative", "steps-zero", "no-maturity-or-times", "maturity-zero",
+            "run-level", "replications-zero",
         ],
     )
-    def test_typed_value_errors(self, tmp_path, old, new, message, line, field):
+    def test_typed_value_errors(self, tmp_path, capsys, old, new, message, line, field):
+        path = _write(tmp_path, MINIMAL_DIGITAL.replace(old, new))
         with pytest.raises(ConfigError) as err:
-            parse_config(_write(tmp_path, MINIMAL_DIGITAL.replace(old, new)))
-        prefix = ", ".join(([f"line {line}"] if line else []) + [f"field '{field}'"])
+            parse_config(path)
+        prefix = ", ".join(
+            ([f"line {line}"] if line else []) + ([f"field '{field}'"] if field else [])
+        )
         assert str(err.value) == f"[{prefix}] {message}"
         assert (err.value.line, err.value.field) == (line, field)
+        assert main(["price", str(path)]) == 2
+        assert capsys.readouterr().err == f"tiltmc: config error: {err.value}\n"
+
+    @pytest.mark.parametrize(
+        "kind, old, new, field",
+        [
+            ("bs", "rate = 0.05", "rate = -0.05", "rate"),
+            ("bs", "vol = 0.2", "vol = -0.2", "vol"),
+            ("bs", "spot = 100", "spot = 0", "spot"),
+            ("bs", "maturity = 1", "times = 1 0.5", "times"),
+            # Inside the admissible interval, but C = (1-rho) I + rho 11* rounds to singular.
+            ("bs", "rate = 0.05", "rate = 0.05\nassets = 1000\nrho = 0.9999999999999999", "rho"),
+            ("localvol", "maturity = 1", "maturity = -1", "maturity"),
+            ("localvol", "rate = 0.05", "rate = -0.01", "rate"),
+            ("localvol", "steps = 4", "steps = 0", "steps"),
+        ],
+    )
+    def test_model_rule_names_its_key(self, tmp_path, capsys, kind, old, new, field):
+        # Rules the model constructors enforce are checked on the key itself.
+        text = MINIMAL_DIGITAL
+        if kind == "localvol":  # the table config on a constant volatility
+            text = LOCALVOL_TABLE.replace("table\nvol_table = {table}", "constant\nvol_sigma = 0.2")
+        assert main(["price", str(_write(tmp_path, text.replace(old, new)))]) == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err and "field 'model'" not in err
 
     def test_block_over_sample_budget_names_n(self, tmp_path):
         spec = parse_config(_write(tmp_path, MINIMAL_DIGITAL))

@@ -11,7 +11,9 @@ Claims:
     - confidence intervals use the documented normal quantile
     - pipelines share one weight table between optimization and estimation,
       run every mode, degrade gracefully, reject non-finite summands in every
-      mode, and are deterministic
+      mode, and are deterministic; the solver's own iteration cap and
+      backtracking underflow fall back to crude, and a payoff that fails on
+      the block is every mode's outcome
     - two_stage cross-fits: each half of the block, split at row n // 2 by
       a view with its own nonzero count, takes the tilt tuned on the other
       half; it pools the n summands in row order, takes its variance from
@@ -33,9 +35,9 @@ Claims:
     - each threaded call starts its own pool: back-to-back calls agree, a
       threaded call made on a worker does not wait for the pool it runs on,
       and an error returns only after every item already started has finished
-    - a fresh process that imports the CLI and runs identity-drift blocks
-      never loads scipy.linalg; path and dense maps and the sandwich
-      covariance, which load it, still work in that process
+    - a fresh process that imports the CLI, runs identity and path-map
+      blocks and solves on a dense map never loads scipy.linalg; the
+      sandwich covariance, its one user, loads it
 """
 
 import ctypes
@@ -53,6 +55,7 @@ import pytest
 from pytest import approx
 
 import tiltmc.estimate
+import tiltmc.optimize
 from tiltmc import (
     Basket,
     BlackScholesMulti,
@@ -367,6 +370,36 @@ class TestPipelines:
         crude = run_pipeline(table, "crude")
         assert report.price == crude.price
 
+    @pytest.mark.parametrize(
+        "limit, value, message",
+        [
+            ("DEFAULT_MAX_ITER", 1, r"after 1 iterations \(tolerance 1\.0e-06\)"),
+            ("_MIN_STEP", 1.0, r"backtracking underflow at iteration \d+ \(gradient norm"),
+        ],
+        ids=["iteration-cap", "backtracking-underflow"],
+    )
+    def test_real_solver_failure_falls_back_to_crude(self, monkeypatch, limit, value, message):
+        # cosh(3x) takes more than one step, and the line search shortens one
+        # of them; with no room for either, the solver itself gives up.
+        payoff = Payoff(1, lambda x: np.cosh(3.0 * x[..., 0]))
+        table = precompute_weights(draw_samples(RngStream(11, 0), 5_000, 1), payoff)
+        monkeypatch.setattr(tiltmc.optimize, limit, value)
+        with pytest.raises(ConvergenceFailure, match=message):
+            newton_minimize(table, identity_map(1))
+        with pytest.warns(RuntimeWarning, match=message):
+            report = run_pipeline(table, "ris")
+        assert report.fallback and report.optim is None and report.theta is None
+        assert report.price == run_pipeline(table, "crude").price
+
+    def test_payoff_error_is_every_modes_outcome(self):
+        def explode(x):
+            raise NonFiniteEstimate("payoff failed on the block")
+
+        modes = ("crude", "ris", "two_stage")
+        outcomes = run_block(Payoff(2, explode), None, RngStream(5, 0), 100, modes, level=0.95)
+        assert isinstance(outcomes[0], NonFiniteEstimate)
+        assert outcomes == [outcomes[0]] * len(modes)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_pipeline(_basket_setup(n=100), "antithetic")
@@ -587,32 +620,34 @@ import numpy as np
 import tiltmc.cli
 from tiltmc import (
     Payoff, RngStream, dense_map, draw_samples, estimate_theta_covariance,
-    identity_map, newton_minimize, path_drift_multi, precompute_weights,
+    newton_minimize, precompute_weights,
 )
 from tiltmc.config import builtin_experiment
 from tiltmc.estimate import run_block
 
-spec = builtin_experiment("digital-coverage", seed=7)[0].spec
-payoff = spec.payoff()
-outcomes = run_block(payoff, identity_map(1), RngStream(7, 0), 2_000, ("ris", "two_stage"), level=0.95)
-assert [o.fallback for o in outcomes] == [False, False], outcomes
-loaded_by_identity_runs = "scipy.linalg" in sys.modules
+# digital-coverage runs on the identity map, table4 on a path_drift_multi map.
+for name, modes in (("digital-coverage", ("ris", "two_stage")), ("table4", ("ris", "rris"))):
+    spec = builtin_experiment(name, n=2_000)[0].spec
+    outcomes = run_block(spec.payoff(), spec.drift(), RngStream(7, 0), 2_000, modes, level=0.95)
+    assert [o.fallback for o in outcomes] == [False] * len(modes), outcomes
 
 payoff = Payoff(4, lambda x: np.exp(0.2 * x.sum(axis=-1)))
 table = precompute_weights(draw_samples(RngStream(3), 2_000, 4), payoff)
-for drift in (path_drift_multi([0.5, 1.0], 2), dense_map(np.arange(1.0, 9.0).reshape(4, 2))):
-    theta = newton_minimize(table, drift).theta
-    assert np.isfinite(estimate_theta_covariance(table, drift, theta)).all()
-assert (dense_map([[2.0], [0.0]]).solve_gram(np.array([8.0])) == [2.0]).all()
-print(loaded_by_identity_runs, "scipy.linalg" in sys.modules)
+drift = dense_map(np.arange(1.0, 9.0).reshape(4, 2))
+theta = newton_minimize(table, drift).theta
+q = np.array([1.0, -2.0])
+assert np.allclose(drift.solve_gram(drift.gram() @ q), q, rtol=1e-13, atol=0.0)
+loaded_before_covariance = "scipy.linalg" in sys.modules
+assert np.isfinite(estimate_theta_covariance(table, drift, theta)).all()
+print(loaded_before_covariance, "scipy.linalg" in sys.modules)
 """
 
 
-def test_identity_drift_runs_never_load_scipy_linalg():
-    # Only a drift matrix's Cholesky factor and the sandwich covariance's
-    # Hessian use scipy.linalg; a fresh process that runs identity-drift
-    # blocks, the CLI imported, never loads it, and the maps and the
-    # covariance that need it still work once they load it.
+def test_only_the_sandwich_covariance_loads_scipy_linalg():
+    # The sandwich covariance's Hessian pass adds with BLAS dsyrk, the one
+    # use of scipy.linalg. A fresh process, the CLI imported, runs identity
+    # and path-map blocks and a dense-map solve on numpy alone, and loads
+    # scipy.linalg only when it takes the covariance.
     src = str(Path(tiltmc.estimate.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-c", _LINALG_PROBE],
