@@ -49,7 +49,6 @@ from .gaussian import (
 from .optimize import (
     OptimResult,
     WeightTable,
-    estimate_theta_covariance,
     newton_minimize,
     precompute_weights,
 )

@@ -10,7 +10,7 @@ offending field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,11 @@ def _require(ok, field: str, rule: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
-    """One fully resolved pricing experiment (one parameter row)."""
+    """One fully resolved pricing experiment (one parameter row).
+
+    The drift map named by ``drift_kind`` is built once, when the spec is,
+    and ``drift()`` returns that one map.
+    """
 
     label: str
     model: object
@@ -63,6 +67,7 @@ class ExperimentSpec:
     level: float = DEFAULT_LEVEL
     replications: int | None = None
     out_format: str = "text"
+    _drift: DriftMap = field(init=False, repr=False)
 
     def __post_init__(self):
         # Every spec passes here (parsed, builtin or overridden by ``replace``),
@@ -87,6 +92,7 @@ class ExperimentSpec:
         if "two_stage" in self.modes and self.n < 2:
             raise ConfigError("two_stage needs n >= 2 samples to tune a tilt on each half", field="n")
         _require(self.replications is None or self.replications >= 1, "replications", "be >= 1")
+        object.__setattr__(self, "_drift", self._build_drift())
 
     @property
     def dim(self) -> int:
@@ -96,11 +102,15 @@ class ExperimentSpec:
         return build_payoff(self.model, self.claim)
 
     def drift(self) -> DriftMap:
+        """The drift map named by ``drift_kind``, built with the spec."""
+        return self._drift
+
+    def _build_drift(self) -> DriftMap:
         """The drift map named by ``drift_kind``, checked against the model.
 
         The one place that knows the drift kinds: ``identity``,
         ``path_single`` (the one-asset ``path_multi``), ``path_multi`` and
-        ``dense:<file>``. :func:`parse_config` calls it, so a bad selection
+        ``dense:<file>``. Every spec builds its map here, so a bad selection
         fails at parse time.
         """
         model, kind = self.model, self.drift_kind
@@ -129,7 +139,7 @@ class ExperimentSpec:
 
     @property
     def d_reduced(self) -> int:
-        return self.drift().d_reduced
+        return self._drift.d_reduced
 
     def describe(self) -> str:
         return (
@@ -281,13 +291,16 @@ def _build_model(section: _Section):
         maturity = fields.number("maturity", required=True)
         steps = fields.integer("steps", required=True)
         vol_kind = fields.string("vol_kind", required=True, choices=("constant", "power", "table"))
-        if vol_kind == "constant":
-            vol_fn = ConstantVol(fields.number("vol_sigma", required=True))
-        elif vol_kind == "power":
+        if vol_kind != "table":
             sigma = fields.number("vol_sigma", required=True)
+            _require(sigma > 0, "vol_sigma", "be positive")
+        if vol_kind == "constant":
+            vol_fn = ConstantVol(sigma)
+        elif vol_kind == "power":
             gamma = fields.number("vol_gamma", required=True)
             floor = fields.number("vol_floor", default=0.01)
             cap = fields.number("vol_cap", default=2.0)
+            _require(floor > 0, "vol_floor", "be positive")
             try:
                 vol_fn = PowerLawVol(sigma=sigma, gamma=gamma, ref_spot=spot, floor=floor, cap=cap)
             except ValueError as exc:
@@ -400,7 +413,6 @@ def parse_config(path) -> ExperimentSpec:
     model = _build_model(sections["model"])
     claim = _build_claim(sections["claim"], model)
     spec = _build_run(sections["run"], label=str(path), model=model, claim=claim)
-    spec.drift()  # the drift selection
     try:
         spec.payoff()  # the claim/model pairing
     except IncompatibleClaim as exc:

@@ -32,8 +32,8 @@ class DriftMap:
     """The d x d' drift matrix A; ``matrix`` is None for A = I_d.
 
     ``apply`` gives theta = A v, ``apply_adjoint`` gives A* x (row by row
-    for a stacked batch), ``gram`` the d' x d' array A*A, ``add_gram`` adds
-    it in place and ``solve_gram`` applies its inverse to a d'-vector.
+    for a stacked batch), ``gram`` the d' x d' array A*A and ``solve_gram``
+    applies its inverse to a d'-vector.
 
     A map checks itself when built, so a hand-built one is held to the same
     rules as the factories': it keeps a read-only float64 copy of
@@ -92,13 +92,6 @@ class DriftMap:
             return np.eye(self.d)
         gram = self.matrix.T @ self.matrix
         return 0.5 * (gram + gram.T)
-
-    def add_gram(self, out: np.ndarray) -> None:
-        """``out += A*A`` in place; the identity adds one to the diagonal."""
-        if self.matrix is None:
-            out[np.diag_indices(self.d)] += 1.0
-        else:
-            out += self.gram()
 
     def solve_gram(self, q: np.ndarray) -> np.ndarray:
         """(A*A)^{-1} q for a d'-vector q; the identity returns q itself."""

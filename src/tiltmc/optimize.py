@@ -16,13 +16,12 @@ first step is -(A*A)^{-1} grad u_n and it never builds a Hessian. Each
 point it evaluates costs one pass over the nonzero-weight rows, O(n d'),
 which gives u_n and its gradient.
 
-The sandwich covariance of the tilt takes two such passes that also build
-the Hessian, O(n d'^2), so that pass is the only code here that reads the
-rows. It shifts every exponent by a running maximum and excludes zero
-weights from the logs. It sums over fixed chunks of ``chunk_rows(d')``
-nonzero-weight rows, the package's one chunk rule taken at width d', added
-in row order and never split by worker threads, so optimizer output is
-bit-reproducible for a given sample block.
+That pass is the only code here that reads the rows. It shifts every
+exponent by a running maximum and excludes zero weights from the logs. It
+sums over fixed chunks of ``chunk_rows(d')`` nonzero-weight rows, the
+package's one chunk rule taken at width d', added in row order and never
+split by worker threads, so optimizer output is bit-reproducible for a
+given sample block.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "OptimResult",
     "precompute_weights",
     "newton_minimize",
-    "estimate_theta_covariance",
 ]
 
 DEFAULT_TOL = 1e-6
@@ -106,18 +104,16 @@ def precompute_weights(samples: SampleBlock, payoff: Payoff) -> WeightTable:
 
 
 class _Objective:
-    """u_n and its derivatives for a fixed (weights, drift) pair.
+    """u_n and its gradient for a fixed (weights, drift) pair.
 
     Holds log w_i and the indices ``rows`` of the nonzero-weight samples,
     which are the table's ``support``, and ``source`` = A*G for the whole
     block; for A = I that is the block itself, so nothing is copied. It
-    keeps the drift, not A*A: a point takes A*A v as A*(A v), and only a
-    Hessian pass, which only the sandwich covariance takes, forms A*A. A
-    pass gathers the rows A*G_i of one chunk of ``rows`` at a time,
+    keeps the drift, not A*A: a point takes A*A v as A*(A v). A pass
+    gathers the rows A*G_i of one chunk of ``rows`` at a time,
     ``chunk_rows(d')`` of them as in the payoff's passes, and drops it
-    before gathering the next, so it holds one chunk of them beyond O(n),
-    and a Hessian pass the Hessian plus one d' x d' temporary more. A
-    point costs O(n_nz d'), and a Hessian O(n_nz d'^2), not O(n d d').
+    before gathering the next, so it holds one chunk of them beyond O(n).
+    A point costs O(n_nz d'), not O(n d d').
     Raises NonFiniteObjective if some w_i = f(G_i)^2 is not finite, and
     DegeneratePayoff if every w_i is zero (u_n then has no minimizer).
     """
@@ -144,10 +140,9 @@ class _Objective:
             part = slice(lo, lo + self.step)
             yield part, self.source[self.rows[part]]
 
-    def evaluate(self, v: np.ndarray, hessian: bool = False):
-        """(u_n, its gradient A*A v - m, and with ``hessian`` its Hessian
-        A*A + C, else None) at v, where m and C are the mean and covariance
-        of A*G_i under the softmax weights p_i ~ w_i e^{-A*G_i . v}.
+    def evaluate(self, v: np.ndarray):
+        """(u_n, its gradient A*A v - m) at v, where m is the mean of A*G_i
+        under the softmax weights p_i ~ w_i e^{-A*G_i . v}.
 
         One pass gathers each chunk once. Its exponents are shifted by the
         largest logit seen so far, and the sums are rescaled by exp(old - new)
@@ -156,15 +151,6 @@ class _Objective:
         """
         shift, total = -np.inf, 0.0
         first = np.zeros(self.d_reduced)
-        second = None
-        if hessian:
-            # Imported here, not at module level: only the sandwich covariance
-            # builds a Hessian, and a process that never does so skips loading
-            # scipy.linalg, about 6 MiB of peak RSS and 40-50 ms of launch
-            # (measured).
-            from scipy.linalg.blas import dsyrk
-
-            second = np.zeros((self.d_reduced, self.d_reduced), order="F")
         for part, chunk in self.chunks():
             # np.dot, not @: numpy's matmul takes a per-row loop for a one-column chunk.
             logits = self.log_w[part] - np.dot(chunk, v)
@@ -173,35 +159,19 @@ class _Objective:
                 scale = np.exp(shift - top)
                 total *= scale
                 first *= scale
-                if hessian:
-                    second *= scale
                 shift = top
             e = np.exp(logits - shift)
             total += e.sum()
             first += e @ chunk
-            if hessian:
-                chunk *= np.sqrt(e)[:, None]
-                # BLAS adds c.T @ c to the lower triangle of ``second`` in place,
-                # without the full-matrix temporary of numpy's c.T @ c.
-                second = dsyrk(1.0, chunk.T, beta=1.0, c=second, lower=1, overwrite_c=1)
             del chunk  # before ``chunks()`` gathers the next one
         gram_v = self.drift.apply_adjoint(self.drift.apply(v))  # A*A v; a copy of v for A = I
         u = 0.5 * v @ gram_v + shift + np.log(total)
         if not np.isfinite(u):
             raise NonFiniteObjective(f"objective is not finite at v={v!r}")
-        mean = first / total
-        grad = gram_v - mean
-        if hessian:  # mirror the lower triangle, then A*A + second / total - m m^T
-            # In place, row by row: no second d' x d' array beside the Hessian.
-            for i in range(1, self.d_reduced):
-                second[:i, i] = second[i, :i]
-            second /= total
-            self.drift.add_gram(second)
-            for i, m_i in enumerate(mean):
-                second[i] -= m_i * mean
-        if not (np.isfinite(grad).all() and (second is None or np.isfinite(second).all())):
+        grad = gram_v - first / total
+        if not np.isfinite(grad).all():
             raise NonFiniteObjective(f"objective derivatives are not finite at v={v!r}")
-        return float(u), grad, second
+        return float(u), grad
 
     def v_from_u(self, u: float) -> float:
         v = np.exp(u - np.log(self.n))
@@ -294,7 +264,7 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
         )
     obj = _Objective(table, drift)
     x = np.zeros(obj.d_reduced)
-    u, grad, _ = obj.evaluate(x)
+    u, grad = obj.evaluate(x)
     history = [u]
     safeguarded = False
     pairs = []
@@ -317,7 +287,7 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
         step = 1.0
         while True:
             trial = x + step * direction
-            u_trial, trial_grad, _ = obj.evaluate(trial)
+            u_trial, trial_grad = obj.evaluate(trial)
             if u_trial < u + _ARMIJO * step * slope:
                 break
             step *= 0.5
@@ -340,33 +310,3 @@ def newton_minimize(table: WeightTable, drift: DriftMap) -> OptimResult:
         f"iterations (tolerance {DEFAULT_TOL:.1e})"
     )
 
-
-def estimate_theta_covariance(table: WeightTable, drift: DriftMap, theta) -> np.ndarray:
-    """Sandwich covariance gamma = H^{-1} S H^{-1} of sqrt(n) (theta_n - theta*).
-
-    The per-sample score is A*(A theta - G_i) t_i, t_i = w_i e^{-A theta . G_i
-    + |A theta|^2/2}, with covariance S; H is the sample mean of the Hessian
-    plug-in (A*A + A*(A theta - G_i)(A theta - G_i)^T A) t_i. Two passes of
-    ``_Objective.evaluate`` give both: (u, g, h) at theta, and (u2, g2, h2)
-    at 2 theta with log w doubled, whose softmax weights are p_i^2 / sum p^2.
-    With c = A*A theta, v_n = exp(u)/n and q = n sum p_i^2 = exp(u2 - 2u -
-    theta . c + log n),
-
-        H / v_n = h + g g^T,   S / v_n^2 = q (h2 - A*A + (c - g2)(c - g2)^T) - g g^T,
-
-    and v_n cancels in gamma. The passes shift every exponent they take by
-    their running maximum and log q lies in [0, log n], so no exponent is
-    taken unshifted and gamma does not depend on the payoff's scale.
-    """
-    theta = drift._check_reduced(theta)
-    obj = _Objective(table, drift)
-    u, g, h = obj.evaluate(theta, hessian=True)
-    obj.log_w *= 2.0
-    u2, g2, h2 = obj.evaluate(2.0 * theta, hessian=True)
-    c = drift.apply_adjoint(drift.apply(theta))
-    q = np.exp(u2 - 2.0 * u - theta @ c + np.log(obj.n))
-    gg, offset = np.outer(g, g), c - g2
-    hessian = h + gg
-    score_cov = q * (h2 - drift.gram() + np.outer(offset, offset)) - gg
-    gamma = np.linalg.solve(hessian, np.linalg.solve(hessian, score_cov).T).T
-    return 0.5 * (gamma + gamma.T)

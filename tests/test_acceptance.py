@@ -17,7 +17,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 from scipy.stats import kstest
 
-from objectives import eval_un, eval_un_derivatives, eval_vn
+from objectives import eval_un, eval_un_derivatives, eval_vn, theta_covariance
 from tiltmc import (
     Basket,
     BestOf,
@@ -28,7 +28,6 @@ from tiltmc import (
     bs_digital_price,
     build_payoff,
     draw_samples,
-    estimate_theta_covariance,
     identity_map,
     newton_minimize,
     path_drift_multi,
@@ -388,7 +387,7 @@ def test_ac9_tilt_normality():
         block = draw_samples(RngStream(909, rep), n, 1)
         table = precompute_weights(block, payoff)
         result = newton_minimize(table, drift)
-        gamma = estimate_theta_covariance(table, drift, result.theta)[0, 0]
+        gamma = theta_covariance(table, drift, result.theta)[0, 0]
         z[rep] = (result.theta[0] - theta_star) / np.sqrt(gamma / n)
     stat, pvalue = kstest(z, "norm")
     _check("AC9 normality", pvalue > 0.01, f"KS stat {stat:.4f}, p = {pvalue:.3f} > 0.01")

@@ -17,7 +17,10 @@ Claims:
     - a rule a model's constructor enforces (positive spot, vol and maturity,
       a nonnegative rate, steps >= 1, an increasing time grid, a correlation
       matrix that factors) fails on the key that broke it, not on 'model';
-      so does a negative asset count
+      so do a negative asset count and a local volatility's sigma or floor
+      that is not positive
+    - a spec builds its drift map once: a price run reads a dense drift
+      file once
     - structural errors (a duplicate section, a key before any section, an
       empty value) name their line, and each bad config exits 2 with the
       parser's message
@@ -30,7 +33,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from tiltmc import Basket, BestOf, ConfigError, Digital, LocalVol1D, build_payoff
+from tiltmc import Basket, BestOf, ConfigError, Digital, LocalVol1D, build_payoff, load_dense_map
 from tiltmc.cli import main
 from tiltmc.config import (
     BUILTIN_NAMES,
@@ -57,6 +60,9 @@ n = 1000
 seed = 7
 """
 
+
+# A power-law local volatility, with vol_sigma and vol_floor to fill in.
+POWER = "power\nvol_sigma = {}\nvol_gamma = 0.5\nvol_floor = {}"
 
 LOCALVOL_TABLE = """
 [model]
@@ -259,6 +265,21 @@ modes = crude rris
         spec = parse_config(_write(tmp_path, text))
         assert spec.d_reduced == 1
 
+    def test_price_reads_a_dense_drift_file_once(self, tmp_path, monkeypatch, capsys):
+        # The spec builds its map once; the parse, the run and the row's
+        # description read that one map.
+        matrix = tmp_path / "a.txt"
+        matrix.write_text("1 1\n1\n")
+        loads = []
+        monkeypatch.setattr(
+            "tiltmc.config.load_dense_map", lambda path: loads.append(path) or load_dense_map(path)
+        )
+        monkeypatch.delenv("TILTMC_SEED", raising=False)
+        text = MINIMAL_DIGITAL + f"drift = dense:{matrix}\nmodes = rris\n"
+        assert main(["price", str(_write(tmp_path, text))]) == 0
+        assert "d' = 1" in capsys.readouterr().out
+        assert loads == [str(matrix)]
+
     def test_dense_drift_dimension_mismatch(self, tmp_path):
         matrix = tmp_path / "a.txt"
         matrix.write_text("2 1\n1\n1\n")
@@ -419,6 +440,9 @@ modes = crude rris
             ("localvol", "maturity = 1", "maturity = -1", "maturity"),
             ("localvol", "rate = 0.05", "rate = -0.01", "rate"),
             ("localvol", "steps = 4", "steps = 0", "steps"),
+            ("localvol", "vol_sigma = 0.2", "vol_sigma = -0.2", "vol_sigma"),
+            ("localvol", "constant\nvol_sigma = 0.2", POWER.format(-0.2, 0.01), "vol_sigma"),
+            ("localvol", "constant\nvol_sigma = 0.2", POWER.format(0.2, -0.01), "vol_floor"),
         ],
     )
     def test_model_rule_names_its_key(self, tmp_path, capsys, kind, old, new, field):

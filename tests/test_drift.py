@@ -5,7 +5,7 @@ Claims:
       sqrt time increments, the sparse per-asset layout; the single-asset
       path drift is the one-asset per-asset map)
     - apply/apply_adjoint form an adjoint pair and compose to the Gram matrix,
-      which add_gram adds in place and solve_gram inverts
+      which solve_gram inverts
     - construction rejects rank-deficient or non-finite matrices and bad grids,
       by hand as through the factories, and keeps its own read-only copy of
       the matrix
@@ -47,10 +47,6 @@ class TestIdentity:
 
     def test_gram_is_identity(self):
         assert identity_map(3).gram() == approx(np.eye(3))
-        out = np.arange(9.0).reshape(3, 3, order="F")
-        expected = out + np.eye(3)
-        identity_map(3).add_gram(out)  # in place, Fortran order too
-        assert np.array_equal(out, expected)
 
     def test_solve_gram_returns_the_vector_itself(self):
         q = np.array([1.0, -2.0, 0.5])
@@ -136,9 +132,6 @@ class TestDense:
     def test_gram_hand_product(self):
         drift = dense_map(np.array([[1.0, 0.0], [1.0, 1.0]]))
         assert drift.gram() == approx(np.array([[2.0, 1.0], [1.0, 1.0]]))
-        out = np.ones((2, 2))
-        drift.add_gram(out)
-        assert out == approx(np.array([[3.0, 2.0], [2.0, 2.0]]))
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficientDriftMap):

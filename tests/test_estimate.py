@@ -35,9 +35,9 @@ Claims:
     - each threaded call starts its own pool: back-to-back calls agree, a
       threaded call made on a worker does not wait for the pool it runs on,
       and an error returns only after every item already started has finished
-    - a fresh process that imports the CLI, runs identity and path-map
-      blocks and solves on a dense map never loads scipy.linalg; the
-      sandwich covariance, its one user, loads it
+    - a fresh process that imports tiltmc and the CLI, runs identity,
+      path-map and dense-map blocks and solves on a dense map never loads
+      scipy.linalg
 """
 
 import ctypes
@@ -617,11 +617,11 @@ class TestBlockMemory:
 _LINALG_PROBE = """
 import sys
 import numpy as np
+import tiltmc
+
+after_import = "scipy.linalg" in sys.modules
 import tiltmc.cli
-from tiltmc import (
-    Payoff, RngStream, dense_map, draw_samples, estimate_theta_covariance,
-    newton_minimize, precompute_weights,
-)
+from tiltmc import Payoff, RngStream, dense_map, draw_samples, newton_minimize, precompute_weights
 from tiltmc.config import builtin_experiment
 from tiltmc.estimate import run_block
 
@@ -632,22 +632,22 @@ for name, modes in (("digital-coverage", ("ris", "two_stage")), ("table4", ("ris
     assert [o.fallback for o in outcomes] == [False] * len(modes), outcomes
 
 payoff = Payoff(4, lambda x: np.exp(0.2 * x.sum(axis=-1)))
-table = precompute_weights(draw_samples(RngStream(3), 2_000, 4), payoff)
 drift = dense_map(np.arange(1.0, 9.0).reshape(4, 2))
-theta = newton_minimize(table, drift).theta
+modes = ("rris", "two_stage")
+outcomes = run_block(payoff, drift, RngStream(5, 0), 2_000, modes, level=0.95)
+assert [o.fallback for o in outcomes] == [False] * len(modes), outcomes
+table = precompute_weights(draw_samples(RngStream(3), 2_000, 4), payoff)
+assert newton_minimize(table, drift).grad_norm <= 1e-6
 q = np.array([1.0, -2.0])
 assert np.allclose(drift.solve_gram(drift.gram() @ q), q, rtol=1e-13, atol=0.0)
-loaded_before_covariance = "scipy.linalg" in sys.modules
-assert np.isfinite(estimate_theta_covariance(table, drift, theta)).all()
-print(loaded_before_covariance, "scipy.linalg" in sys.modules)
+print(after_import, "scipy.linalg" in sys.modules)
 """
 
 
-def test_only_the_sandwich_covariance_loads_scipy_linalg():
-    # The sandwich covariance's Hessian pass adds with BLAS dsyrk, the one
-    # use of scipy.linalg. A fresh process, the CLI imported, runs identity
-    # and path-map blocks and a dense-map solve on numpy alone, and loads
-    # scipy.linalg only when it takes the covariance.
+def test_no_public_path_loads_scipy_linalg():
+    # The package never imports scipy.linalg: drift maps factor A*A with
+    # numpy. A fresh process imports tiltmc and the CLI, runs identity,
+    # path-map and dense-map blocks and a dense-map solve, and never loads it.
     src = str(Path(tiltmc.estimate.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-c", _LINALG_PROBE],
@@ -657,4 +657,4 @@ def test_only_the_sandwich_covariance_loads_scipy_linalg():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stdout.split() == ["False", "False"]

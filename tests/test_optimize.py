@@ -8,13 +8,14 @@ Claims:
       the payoff evaluation
     - v_n and u_n satisfy v_n = exp(u_n)/n to relative 1e-10 and the
       closed single-sample / two-sample values
-    - gradient and Hessian match central finite differences of u_n
-    - the Hessian minus the Gram matrix stays positive semidefinite
+    - the gradient matches central finite differences of u_n, and the dense
+      reference Hessian matches central differences of the gradient
+    - the reference Hessian minus the Gram matrix stays positive semidefinite
     - Newton lands on the closed-form minimizer in one step for a single
       sample, converges within a few iterations for the exponential payoff,
       and its accepted objective values strictly decrease
-    - a solve builds no Hessian and gathers each nonzero row once per point
-      it evaluates: for A = I its first trial point is, bit for bit,
+    - a solve gathers each nonzero row once per point it evaluates: for
+      A = I its first trial point is, bit for bit,
       -grad u_n(0), and its BFGS steps reach the minimizer of a textbook
       exact-Newton loop on u_n and its derivatives within tolerance; a
       d = d' = 500 solve shaped like the basket-ris workload converges
@@ -25,13 +26,13 @@ Claims:
     - rescaling all weights shifts u_n by a constant and leaves the
       gradient, Hessian and minimizer unchanged
     - a rank-deficient drift map cannot be built, even by hand
-    - the sandwich covariance reproduces the two Gaussian-moment values
-      that have closed forms, and does not change when the payoff is scaled
-      by up to 1e150
-    - the optimizer's passes over fixed chunks of the nonzero rows match the
-      dense whole-array formulas to 1e-12 relative, and hold no copy of the
-      nonzero rows: memory above the block is a few chunks plus O(n + d'^2);
-      a pass holds one gathered chunk at a time, and a solve no d' x d' array
+    - the dense reference sandwich covariance reproduces the two
+      Gaussian-moment values that have closed forms, and does not change
+      when the payoff is scaled by up to 1e150
+    - the optimizer's pass over fixed chunks of the nonzero rows matches the
+      dense whole-array mean to 1e-12 relative, and holds no copy of the
+      nonzero rows: memory above the block is a few chunks plus O(n); a
+      pass holds one gathered chunk at a time, and a solve no d' x d' array
     - one pass, shifted by a running maximum over 64-row chunks, matches a
       reference shifted by the maximum of all logits to 1e-12 relative, when
       the maximum sits in a later chunk and when the logits span over 1,400;
@@ -49,7 +50,7 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy.linalg import cho_factor, cho_solve
 
-from objectives import eval_un, eval_un_derivatives, eval_vn
+from objectives import eval_un, eval_un_derivatives, eval_vn, theta_covariance
 from tiltmc import (
     Basket,
     BlackScholesMulti,
@@ -65,7 +66,6 @@ from tiltmc import (
     build_payoff,
     dense_map,
     draw_samples,
-    estimate_theta_covariance,
     identity_map,
     newton_minimize,
     path_drift_multi,
@@ -78,21 +78,6 @@ from tiltmc.payoffs import chunk_rows
 
 EXP_PAYOFF = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
 ONES_PAYOFF_1D = Payoff(1, lambda x: np.ones(x.shape[:-1]))
-
-
-@pytest.fixture
-def hessian_passes(monkeypatch):
-    """A list that gains one entry per pass that builds a Hessian."""
-    passes = []
-    evaluate = _Objective.evaluate
-
-    def spy(obj, v, hessian=False):
-        if hessian:
-            passes.append(1)
-        return evaluate(obj, v, hessian)
-
-    monkeypatch.setattr(_Objective, "evaluate", spy)
-    return passes
 
 
 def _textbook_newton(table, drift):
@@ -150,7 +135,6 @@ class TestWeights:
         uses = (
             lambda: newton_minimize(table, drift),
             lambda: eval_un(table, drift, [0.0]),
-            lambda: estimate_theta_covariance(table, drift, [0.0]),
         )
         for use in uses:
             with pytest.raises(DegeneratePayoff):
@@ -403,9 +387,7 @@ class TestNewton:
             DriftMap(d=2, matrix=np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("case", ["basket", "cosh"])
-    def test_matches_textbook_loop_without_a_hessian_pass(
-        self, case, hessian_passes, monkeypatch
-    ):
+    def test_matches_textbook_loop_without_a_hessian_pass(self, case, monkeypatch):
         # The 40-asset basket takes full steps; cosh(3x) needs shortened ones.
         # The textbook exact-Newton loop on u_n and its derivatives is the
         # oracle: both minimizers lie within 2 * DEFAULT_TOL of each other,
@@ -427,20 +409,16 @@ class TestNewton:
         points = []
         evaluate = _Objective.evaluate
         monkeypatch.setattr(
-            _Objective,
-            "evaluate",
-            lambda obj, v, hessian=False: points.append(v) or evaluate(obj, v, hessian),
+            _Objective, "evaluate", lambda obj, v: points.append(v) or evaluate(obj, v)
         )
-        hessian_passes.clear()
         result = newton_minimize(table, drift)
-        assert len(hessian_passes) == 0
         assert (points[1] == -grad_at_zero).all()
         assert np.all(np.diff(result.u_history) < 0)
         assert result.safeguarded == (case == "cosh")
         assert np.linalg.norm(result.theta - x) <= 2 * DEFAULT_TOL
         assert result.v_value == eval_vn(table, drift, result.theta)
 
-    def test_basket_ris_shaped_solve_takes_no_hessian_pass(self, hessian_passes, monkeypatch):
+    def test_basket_ris_shaped_solve_takes_no_hessian_pass(self, monkeypatch):
         # d = d' = 500 as on the basket-ris workload, where building a
         # Hessian would cost several gradient passes. The BFGS steps grow in
         # number as n falls toward d' (about 14 at n = 2,000, 28 at n = 100);
@@ -458,13 +436,10 @@ class TestNewton:
                 yield part, chunk
 
         monkeypatch.setattr(
-            _Objective,
-            "evaluate",
-            lambda obj, v, hessian=False: points.append(v) or evaluate(obj, v, hessian),
+            _Objective, "evaluate", lambda obj, v: points.append(v) or evaluate(obj, v)
         )
         monkeypatch.setattr(_Objective, "chunks", counted)
         result = newton_minimize(table, identity_map(payoff.dim))
-        assert len(hessian_passes) == 0
         assert len(points) > result.iterations
         assert sum(gathered) == len(points) * table.nonzero
         assert 1 < result.iterations <= 10
@@ -555,7 +530,7 @@ class TestThetaCovariance:
         block = draw_samples(RngStream(400, 0), 200_000, 1)
         table = precompute_weights(block, ONES_PAYOFF_1D)
         result = newton_minimize(table, identity_map(1))
-        gamma = estimate_theta_covariance(table, identity_map(1), result.theta)
+        gamma = theta_covariance(table, identity_map(1), result.theta)
         assert gamma[0, 0] == approx(0.25, rel=0.05)
 
     def test_exponential_payoff_value(self):
@@ -564,7 +539,7 @@ class TestThetaCovariance:
         block = draw_samples(RngStream(401, 0), 1_000_000, 1)
         table = precompute_weights(block, EXP_PAYOFF)
         result = newton_minimize(table, identity_map(1))
-        gamma = estimate_theta_covariance(table, identity_map(1), result.theta)
+        gamma = theta_covariance(table, identity_map(1), result.theta)
         expected = np.exp(0.04) * 1.04 / 4.0
         assert gamma[0, 0] == approx(expected, rel=0.10)
 
@@ -578,7 +553,7 @@ class TestThetaCovariance:
         def gamma_at(scale):
             payoff = Payoff(2, lambda x: scale * np.maximum(x[..., 0] + 0.5 * x[..., 1], 0.0))
             table = precompute_weights(block, payoff)
-            return estimate_theta_covariance(table, drift, newton_minimize(table, drift).theta)
+            return theta_covariance(table, drift, newton_minimize(table, drift).theta)
 
         base = gamma_at(1.0)
         assert np.isfinite(base).all()
@@ -591,7 +566,7 @@ class TestThetaCovariance:
         for _ in range(10):
             table, drift, _ = _random_config(rng)
             result = newton_minimize(table, drift)
-            gamma = estimate_theta_covariance(table, drift, result.theta)
+            gamma = theta_covariance(table, drift, result.theta)
             assert gamma.shape == (drift.d_reduced, drift.d_reduced)
             assert np.abs(gamma - gamma.T).max() <= 1e-10
             np.linalg.cholesky(gamma + 1e-12 * np.eye(gamma.shape[0]))
@@ -619,23 +594,9 @@ class TestChunkedPasses:
         p = np.exp(logits - logits.max())
         p /= p.sum()
         mean = p @ reduced
-        hess = gram + reduced.T @ (reduced * p[:, None]) - np.outer(mean, mean)
-        grad, got_hess = eval_un_derivatives(table, drift, v)
+        _, grad = _Objective(table, drift).evaluate(v)
         got_mean = gram @ v - grad
         assert np.abs(got_mean - mean).max() <= 1e-12 * np.abs(mean).max()
-        assert np.abs(got_hess - hess).max() <= 1e-12 * np.abs(hess).max()
-
-        terms = np.exp(logits + 0.5 * float(v @ (gram @ v)))
-        offsets = (gram @ v)[None, :] - reduced
-        weighted = offsets * terms[:, None]
-        n = table.n
-        h = (terms.sum() / n) * gram + (offsets.T @ weighted) / n
-        score_mean = weighted.sum(axis=0) / n
-        s = (weighted.T @ weighted) / n - np.outer(score_mean, score_mean)
-        gamma = np.linalg.solve(h, np.linalg.solve(h, s).T).T
-        gamma = 0.5 * (gamma + gamma.T)
-        got = estimate_theta_covariance(table, drift, v)
-        assert np.abs(got - gamma).max() <= 1e-10 * np.abs(gamma).max()
 
     @pytest.mark.parametrize("case", ["rising", "wide"])
     def test_online_shift_matches_two_pass_reference(self, case):
@@ -667,23 +628,18 @@ class TestChunkedPasses:
         p = e / e.sum()
         u = 0.5 * float(v @ v) + shift + np.log(e.sum())
         mean = p @ values
-        hess = np.eye(d) + values.T @ (values * p[:, None]) - np.outer(mean, mean)
 
-        got_u, grad, got_hess = obj.evaluate(v, hessian=True)
+        got_u, grad = obj.evaluate(v)
         assert abs(got_u - u) <= 1e-12 * abs(u)
         assert np.abs((v - grad) - mean).max() <= 1e-12 * np.abs(mean).max()
-        assert np.abs(got_hess - hess).max() <= 1e-12 * np.abs(hess).max()
-        u_only, grad_only, none = obj.evaluate(v)
-        assert u_only == got_u and (grad_only == grad).all() and none is None
 
     def test_online_shift_raises_on_non_finite_objective(self):
         rng = np.random.default_rng(6)
         obj = _Objective(_table(rng.standard_normal((1_000, 3))), identity_map(3))
         obj.step = 64
         for v in (np.full(3, 1e200), np.array([1e308, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0])):
-            for hessian in (False, True):
-                with np.errstate(all="ignore"), pytest.raises(NonFiniteObjective):
-                    obj.evaluate(v, hessian)
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteObjective):
+                obj.evaluate(v)
 
     def test_memory_above_block_is_bounded_by_optimizer_chunks(self):
         # The basket-ris workload's block (d = d' = 500, n = 20k, 80 MB, most
@@ -694,23 +650,21 @@ class TestChunkedPasses:
         n, d = 20_000, payoff.dim
         table = precompute_weights(draw_samples(RngStream(5), n, d), payoff)
         chunk_bytes = chunk_rows(d) * d * 8
-        bound = 4 * chunk_bytes + 8 * n * 8 + 4 * d * d * 8
+        bound = 4 * chunk_bytes + 8 * n * 8
         assert bound < table.samples.values.nbytes / 3
         tracemalloc.start()
         try:
-            _Objective(table, identity_map(d)).evaluate(np.zeros(d), hessian=True)
+            _Objective(table, identity_map(d)).evaluate(np.zeros(d))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound
 
-    def test_one_gathered_chunk_and_one_hessian_copy(self, monkeypatch):
+    def test_one_gathered_chunk_per_pass(self, monkeypatch):
         # The basket-ris block (d = d' = 500, 500 KiB chunks). A pass drops
         # each chunk before gathering the next, so doubling the chunk raises
-        # its peak by one chunk; two live chunks would raise it by two. A
-        # Hessian pass assembles the Hessian in place, so it holds one d' x d'
-        # array beside the chunk; the slack of half a chunk covers the
-        # chunk-sized vectors.
+        # its peak by one chunk; two live chunks would raise it by two. The
+        # slack of half a chunk covers the chunk-sized vectors.
         cfg = Path(__file__).resolve().parent.parent / "perfbench" / "basket_ris.cfg"
         payoff = parse_config(cfg).payoff()
         n, d = 20_000, payoff.dim
@@ -733,18 +687,16 @@ class TestChunkedPasses:
         growth = peak(lambda: obj.evaluate(np.zeros(d))) - gradient_pass
         obj.step //= 2
         assert 0.5 * chunk_bytes < growth < 1.5 * chunk_bytes
-        hessian_pass = peak(lambda: obj.evaluate(np.zeros(d), hessian=True))
-        assert hessian_pass < chunk_bytes + square_bytes + chunk_bytes // 2
+        assert gradient_pass < chunk_bytes + chunk_bytes // 2
 
-        # A solve builds no Hessian: whenever it enters a gradient-only pass
-        # it holds O(n) vectors and its BFGS pairs, not a d' x d' array.
+        # A solve builds no Hessian: whenever it enters a pass it holds O(n)
+        # vectors and its BFGS pairs, not a d' x d' array.
         evaluate = _Objective.evaluate
         entries = []
 
-        def spy(obj, v, hessian=False):
-            if not hessian:
-                entries.append(tracemalloc.get_traced_memory()[0] - start)
-            return evaluate(obj, v, hessian)
+        def spy(obj, v):
+            entries.append(tracemalloc.get_traced_memory()[0] - start)
+            return evaluate(obj, v)
 
         monkeypatch.setattr(_Objective, "evaluate", spy)
         tracemalloc.start()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from objectives import theta_covariance
 from quadrature import BracketFailure, QuadratureSpec, gaussian_expectation, quadrature_theta_star
 from tiltmc import (
     Payoff,
@@ -22,7 +23,6 @@ from tiltmc import (
     bs_digital_price,
     bs_put_price,
     draw_samples,
-    estimate_theta_covariance,
     identity_map,
     newton_minimize,
     precompute_weights,
@@ -146,6 +146,6 @@ class TestThetaStar:
         table = precompute_weights(block, payoff)
         drift = identity_map(1)
         result = newton_minimize(table, drift)
-        gamma = estimate_theta_covariance(table, drift, result.theta)[0, 0]
+        gamma = theta_covariance(table, drift, result.theta)[0, 0]
         band = 4.0 * np.sqrt(gamma / table.n)
         assert result.theta[0] == approx(theta_star, abs=band)

@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "coverage_experiment",
     "dense_map",
     "draw_samples",
-    "estimate_theta_covariance",
     "identity_map",
     "load_dense_map",
     "newton_minimize",
@@ -69,4 +68,4 @@ def _exports():
 
 def test_public_names_snapshot():
     assert _exports() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
