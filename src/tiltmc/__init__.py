@@ -21,8 +21,7 @@ from .errors import (
     DegeneratePayoff,
     DimensionMismatch,
     IncompatibleClaim,
-    InvalidCorrelation,
-    InvalidGrid,
+    InvalidParameter,
     NonFiniteEstimate,
     NonFiniteInput,
     NonFiniteObjective,

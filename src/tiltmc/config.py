@@ -9,13 +9,14 @@ offending field.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .drift import DriftMap, identity_map, load_dense_map, path_drift_multi
-from .errors import ConfigError, IncompatibleClaim, InvalidGrid
+from .errors import ConfigError, IncompatibleClaim, InvalidParameter
 from .estimate import MODES
 from .gaussian import DEFAULT_SAMPLE_BUDGET, RngStream
 from .payoffs import (
@@ -41,6 +42,8 @@ __all__ = [
 
 DEFAULT_LEVEL = 0.95
 DEFAULT_MODES = ("crude", "ris")
+# Model parameters named apart from their [model] key; every other name is its key.
+_MODEL_KEYS = {"n_steps": "steps", "sigma": "vol_sigma", "floor": "vol_floor"}
 
 
 def _require(ok, field: str, rule: str) -> None:
@@ -54,7 +57,7 @@ class ExperimentSpec:
     """One fully resolved pricing experiment (one parameter row).
 
     The drift map named by ``drift_kind`` is built once, when the spec is,
-    and ``drift()`` returns that one map.
+    and ``drift()`` returns that one map; :func:`with_overrides` copies keep it.
     """
 
     label: str
@@ -70,8 +73,12 @@ class ExperimentSpec:
     _drift: DriftMap = field(init=False, repr=False)
 
     def __post_init__(self):
-        # Every spec passes here (parsed, builtin or overridden by ``replace``),
-        # so a run the engine would refuse is a config error on its field.
+        self._check_run()
+        object.__setattr__(self, "_drift", self._build_drift())
+
+    def _check_run(self):
+        # Every spec passes here (parsed, builtin or overridden), so a run the
+        # engine would refuse is a config error on its field.
         _require(self.n >= 1, "n", "be >= 1")
         if self.n * self.dim > DEFAULT_SAMPLE_BUDGET:
             raise ConfigError(
@@ -92,7 +99,6 @@ class ExperimentSpec:
         if "two_stage" in self.modes and self.n < 2:
             raise ConfigError("two_stage needs n >= 2 samples to tune a tilt on each half", field="n")
         _require(self.replications is None or self.replications >= 1, "replications", "be >= 1")
-        object.__setattr__(self, "_drift", self._build_drift())
 
     @property
     def dim(self) -> int:
@@ -274,61 +280,47 @@ def _broadcast(values: np.ndarray, n: int, field: str) -> np.ndarray:
 
 
 def _build_model(section: _Section):
+    """The [model] section's model; each model checks its own parameters."""
     fields = _Fields("model", section)
     kind = fields.string("kind", required=True, choices=("bs", "localvol"))
-    if kind == "bs":
-        assets = fields.integer("assets", default=1)
-        steps = fields.integer("steps")
-        maturity = fields.number("maturity")
-        spot = fields.vector("spot", required=True)
-        vol = fields.vector("vol", required=True)
-        rate = fields.number("rate", required=True)
-        rho = fields.number("rho", default=0.0)
-        times = fields.vector("times")
-    else:
+    if kind == "localvol":
         spot = fields.number("spot", required=True)
         rate = fields.number("rate", required=True)
         maturity = fields.number("maturity", required=True)
         steps = fields.integer("steps", required=True)
         vol_kind = fields.string("vol_kind", required=True, choices=("constant", "power", "table"))
-        if vol_kind != "table":
-            sigma = fields.number("vol_sigma", required=True)
-            _require(sigma > 0, "vol_sigma", "be positive")
         if vol_kind == "constant":
-            vol_fn = ConstantVol(sigma)
+            vol_fn = ConstantVol(fields.number("vol_sigma", required=True))
         elif vol_kind == "power":
-            gamma = fields.number("vol_gamma", required=True)
-            floor = fields.number("vol_floor", default=0.01)
-            cap = fields.number("vol_cap", default=2.0)
-            _require(floor > 0, "vol_floor", "be positive")
-            try:
-                vol_fn = PowerLawVol(sigma=sigma, gamma=gamma, ref_spot=spot, floor=floor, cap=cap)
-            except ValueError as exc:
-                raise ConfigError(str(exc), field="vol_floor") from exc
+            vol_fn = PowerLawVol(
+                sigma=fields.number("vol_sigma", required=True),
+                gamma=fields.number("vol_gamma", required=True),
+                ref_spot=spot,
+                floor=fields.number("vol_floor", default=0.01),
+                cap=fields.number("vol_cap", default=2.0),
+            )
         else:
             table_path = fields.string("vol_table", required=True)
             try:
                 vol_fn = TabulatedVol.from_csv(table_path)
             except (OSError, ValueError) as exc:
                 raise ConfigError(str(exc), field="vol_table") from exc
-    fields.finish()
-    # The model constructors' own rules, checked first so that an error names its key.
-    _require(np.all(spot > 0), "spot", "be positive")
-    _require(rate >= 0, "rate", "be nonnegative")
-    _require(steps is None or steps >= 1, "steps", "be >= 1")
-    _require(maturity is None or maturity > 0, "maturity", "be positive")
-    if kind == "localvol":
+        fields.finish()
         return LocalVol1D(spot=spot, rate=rate, maturity=maturity, n_steps=steps, vol_fn=vol_fn)
 
+    assets = fields.integer("assets", default=1)
+    steps = fields.integer("steps")
+    maturity = fields.number("maturity")
+    spot = fields.vector("spot", required=True)
+    vol = fields.vector("vol", required=True)
+    rate = fields.number("rate", required=True)
+    rho = fields.number("rho", default=0.0)
+    times = fields.vector("times")
+    fields.finish()
+    # The rules of keys that no model has: the asset count, and the grid they build.
     _require(assets >= 1, "assets", "be >= 1")
-    spot, vol = _broadcast(spot, assets, "spot"), _broadcast(vol, assets, "vol")
-    _require(np.all(vol > 0), "vol", "be positive")
-    if assets > 1 and not -1.0 / (assets - 1) < rho < 1.0:
-        raise ConfigError(
-            f"rho must lie in (-1/(I-1), 1); with I={assets} assets that is "
-            f"({-1.0 / (assets - 1):.6g}, 1), got {rho}",
-            field="rho",
-        )
+    _require(steps is None or steps >= 1, "steps", "be >= 1")
+    _require(maturity is None or maturity > 0, "maturity", "be positive")
     if times is None:
         if maturity is None:
             raise ConfigError("missing required key 'maturity'", field="maturity")
@@ -340,11 +332,8 @@ def _build_model(section: _Section):
         )
     elif steps is not None and steps != times.size:
         raise ConfigError(f"'steps' is {steps} but 'times' lists {times.size} dates", field="steps")
-    try:
-        return BlackScholesMulti.create(assets, times, spot, vol, rate, rho)
-    except ValueError as exc:  # all that is left: the grid, or rounding at a bound of rho
-        field = "times" if isinstance(exc, InvalidGrid) else "rho"
-        raise ConfigError(str(exc), field=field) from exc
+    spot, vol = _broadcast(spot, assets, "spot"), _broadcast(vol, assets, "vol")
+    return BlackScholesMulti.create(assets, times, spot, vol, rate, rho)
 
 
 def _build_claim(section: _Section, model):
@@ -410,7 +399,11 @@ def _build_run(section: _Section, **rest) -> ExperimentSpec:
 def parse_config(path) -> ExperimentSpec:
     """Parse and validate one experiment config file."""
     sections = _read_sections(path)
-    model = _build_model(sections["model"])
+    try:
+        model = _build_model(sections["model"])
+    except InvalidParameter as exc:  # a model's own rule, reported on its key
+        key = _MODEL_KEYS.get(exc.name, exc.name)
+        raise ConfigError(f"{key} must {exc.rule}", field=key) from exc
     claim = _build_claim(sections["claim"], model)
     spec = _build_run(sections["run"], label=str(path), model=model, claim=claim)
     try:
@@ -490,4 +483,9 @@ def with_overrides(spec: ExperimentSpec, *, n=None, seed=None, modes=None):
     """Copy of ``spec`` with selected run parameters replaced."""
     updates = dict(n=n, seed=seed, modes=None if modes is None else tuple(modes))
     updates = {key: value for key, value in updates.items() if value is not None}
-    return replace(spec, **updates) if updates else spec
+    if not updates:
+        return spec
+    new = copy.copy(spec)  # no model or drift kind changes, so it keeps the drift map
+    new.__dict__.update(updates)
+    new._check_run()
+    return new

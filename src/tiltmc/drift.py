@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, RankDeficientDriftMap
+from .errors import DimensionMismatch, NonFiniteInput, RankDeficientDriftMap, require
 from .gaussian import validate_grid
 
 __all__ = [
@@ -40,7 +40,7 @@ class DriftMap:
     ``matrix``, which must be d x d' with d >= d' >= 1, finite, and of full
     column rank. The rank check is numpy's Cholesky factor L of A*A, and the
     map keeps (A*A)^{-1} = L^{-*} L^{-1} as one read-only d' x d' array for
-    ``solve_gram``. The identity holds no matrix and no inverse.
+    ``solve_gram``. The identity, of integer d >= 1, holds no matrix and no inverse.
     """
 
     d: int
@@ -49,6 +49,8 @@ class DriftMap:
 
     def __post_init__(self):
         if self.matrix is None:
+            integer = isinstance(self.d, (int, np.integer))
+            require(integer and self.d >= 1, "d", f"be an integer >= 1, got {self.d!r}")
             return
         # A copy, so the caller's array stays writable and cannot change A later.
         matrix = np.array(self.matrix, dtype=np.float64)
@@ -108,8 +110,6 @@ class DriftMap:
 
 def identity_map(d: int) -> DriftMap:
     """A = I_d: the unreduced, full-dimensional search space."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
     return DriftMap(d=d)
 
 
@@ -120,8 +120,7 @@ def path_drift_multi(times, n_assets: int) -> DriftMap:
     A[(j-1)*I + i, i] = sqrt(t_j - t_{j-1}) and every other entry is zero.
     With one asset, A is the single column of square-root time steps.
     """
-    if n_assets < 1:
-        raise ValueError("n_assets must be >= 1")
+    require(n_assets >= 1, "n_assets", "be >= 1")
     sqrt_steps = np.sqrt(np.diff(validate_grid(times), prepend=0.0))
     return dense_map(np.kron(sqrt_steps[:, None], np.eye(n_assets)))
 

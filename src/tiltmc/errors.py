@@ -5,12 +5,19 @@ class TiltmcError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidCorrelation(TiltmcError, ValueError):
-    """Equicorrelation parameter outside the positive-definite range."""
+class InvalidParameter(TiltmcError, ValueError):
+    """A parameter breaks a rule of the object that owns it: "``name`` must ``rule``"."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} must {rule}")
+        self.name = name
+        self.rule = rule
 
 
-class InvalidGrid(TiltmcError, ValueError):
-    """Time grid is not strictly increasing and positive."""
+def require(ok, name: str, rule: str) -> None:
+    """Raise :class:`InvalidParameter` on ``name`` unless ``ok``."""
+    if not ok:
+        raise InvalidParameter(name, rule)
 
 
 class SampleBudgetExceeded(TiltmcError, MemoryError):

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .errors import InvalidCorrelation, InvalidGrid, SampleBudgetExceeded
+from .errors import InvalidParameter, SampleBudgetExceeded, require
 
 __all__ = [
     "RngStream",
@@ -130,30 +130,28 @@ def cholesky_correlation(n_assets: int, rho: float) -> np.ndarray:
     """Read-only lower Cholesky factor L of the equicorrelation matrix
     C = (1-rho) I + rho 11* of ``n_assets`` Brownian motions (L L* = C).
 
-    ``rho`` must lie in the open interval (-1/(n_assets-1), 1) for the
-    matrix to be positive definite. With one asset any value is accepted:
-    C is the 1x1 identity, and its factor is exactly ``[[1.0]]``.
+    ``rho`` must lie in the open interval (-1/(n_assets-1), 1), and C must
+    factor in floating point. With one asset any value is accepted: C is
+    the 1x1 identity, and its factor is exactly ``[[1.0]]``.
     """
-    if n_assets < 1:
-        raise ValueError("n_assets must be >= 1")
-    if n_assets > 1:
-        lo = -1.0 / (n_assets - 1)
-        if not lo < rho < 1.0:
-            raise InvalidCorrelation(
-                f"rho={rho} outside the admissible interval ({lo}, 1) for {n_assets} assets"
-            )
+    require(n_assets >= 1, "n_assets", "be >= 1")
+    lo = -1.0 / max(n_assets - 1, 1)
+    rule = f"lie in (-1/(I-1), 1); with I={n_assets} assets that is ({lo:.6g}, 1), got {rho}"
+    require(n_assets == 1 or lo < rho < 1.0, "rho", rule)
     c = np.full((n_assets, n_assets), float(rho))
     np.fill_diagonal(c, 1.0)
-    factor = np.linalg.cholesky(c)
+    try:
+        factor = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:  # inside the interval, within rounding of a bound
+        raise InvalidParameter("rho", f"{rule}, where C rounds to singular") from None
     factor.setflags(write=False)
     return factor
 
 
 def validate_grid(times) -> np.ndarray:
-    """A float64 copy of a time grid, flattened; rejects empty or non-increasing ones."""
+    """A float64 copy of a time grid, flattened; it must be positive, finite and increasing."""
     times = np.array(times, dtype=np.float64).reshape(-1)
-    if times.size == 0:
-        raise InvalidGrid("time grid is empty")
-    if times[0] <= 0.0 or np.any(np.diff(times) <= 0.0):
-        raise InvalidGrid("time grid must be positive and strictly increasing")
+    require(times.size > 0, "times", "not be empty")
+    increasing = times[0] > 0.0 and np.all(np.diff(times) > 0.0) and np.isfinite(times[-1])
+    require(increasing, "times", "be positive, finite and strictly increasing")
     return times

@@ -38,7 +38,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import IncompatibleClaim, NonFiniteInput
+from .errors import IncompatibleClaim, NonFiniteInput, require
 from .gaussian import cholesky_correlation, validate_grid
 
 __all__ = [
@@ -83,6 +83,9 @@ class ConstantVol:
 
     sigma: float
 
+    def __post_init__(self):
+        require(self.sigma > 0, "sigma", "be positive")
+
     def __call__(self, t: float, s: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(s, dtype=np.float64), self.sigma)
 
@@ -102,8 +105,9 @@ class PowerLawVol:
     cap: float = 2.0
 
     def __post_init__(self):
-        if not self.floor <= self.cap:
-            raise ValueError(f"vol_floor {self.floor} exceeds vol_cap {self.cap}")
+        require(self.sigma > 0, "sigma", "be positive")
+        require(self.floor > 0, "floor", "be positive")
+        require(self.floor <= self.cap, "floor", f"not exceed the cap {self.cap}, got {self.floor}")
 
     def __call__(self, t: float, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=np.float64)
@@ -122,6 +126,7 @@ class TabulatedVol:
     values: np.ndarray  # shape (len(t_grid), len(s_grid))
 
     def __post_init__(self):
+        require(np.all(self.values > 0), "values", "be positive")
         self.t_grid.setflags(write=False)
         self.s_grid.setflags(write=False)
         self.values.setflags(write=False)
@@ -152,8 +157,6 @@ class TabulatedVol:
             table[cell] = sig
         if np.isnan(table).any():
             raise ValueError(f"{path}: (t, s) points do not form a full rectangular grid")
-        if (table <= 0).any():
-            raise ValueError(f"{path}: volatilities must be positive")
         return cls(t_grid=t_grid, s_grid=s_grid, values=table)
 
     def __call__(self, t: float, s: np.ndarray) -> np.ndarray:
@@ -191,14 +194,11 @@ class BlackScholesMulti:
     def __post_init__(self):
         for name in ("spot", "vol"):  # copies, so the caller's arrays stay writable
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
-        if np.any(self.spot <= 0):
-            raise ValueError("spots must be positive")
-        if np.any(self.vol <= 0):
-            raise ValueError("volatilities must be positive")
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
-        if self.spot.shape != self.vol.shape or self.spot.ndim != 1:
-            raise ValueError("spot and vol must be 1-d arrays of equal length")
+        require(np.all(self.spot > 0), "spot", "be positive")
+        require(np.all(self.vol > 0), "vol", "be positive")
+        require(self.rate >= 0, "rate", "be nonnegative")
+        one_per_spot = self.spot.ndim == 1 and self.vol.shape == self.spot.shape
+        require(one_per_spot, "vol", "be a 1-d array with one entry per spot")
         object.__setattr__(self, "chol", cholesky_correlation(self.spot.size, self.rho))
         object.__setattr__(self, "times", validate_grid(self.times))
         for array in (self.spot, self.vol, self.times):
@@ -300,12 +300,10 @@ class LocalVol1D:
     vol_fn: Callable[[float, np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.spot <= 0 or self.maturity <= 0:
-            raise ValueError("spot and maturity must be positive")
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        require(self.spot > 0, "spot", "be positive")
+        require(self.maturity > 0, "maturity", "be positive")
+        require(self.rate >= 0, "rate", "be nonnegative")
+        require(self.n_steps >= 1, "n_steps", "be >= 1")
 
     @property
     def n_assets(self) -> int:

@@ -334,6 +334,8 @@ class TestEnvironmentOverrides:
             ({}, ["--seed", "-1"], "--seed"),
             ({"TILTMC_SEED": "abc"}, [], "TILTMC_SEED"),
             ({"TILTMC_THREADS": "abc"}, [], "TILTMC_THREADS"),
+            ({}, ["--n", "0"], "--n: must be >= 1"),
+            ({"TILTMC_THREADS": "0"}, [], "TILTMC_THREADS='0': must be >= 1"),
         ],
     )
     def test_invalid_seed_or_threads_exit_2(self, tmp_path, monkeypatch, capsys, env, flags, message):

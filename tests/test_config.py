@@ -12,15 +12,16 @@ Claims:
     - every spec, overridden or builtin, rejects a block over the sample
       budget on field 'n', and a bad seed, level, mode list (empty, unknown
       or repeated mode) or replication count on its own field
-    - a vol table entry that is not finite, or a vol floor above the cap,
-      fails at parse time and names the field
+    - a vol table entry that is not finite, a table row that is not three
+      columns, a table with no rows or a volatility that is not positive,
+      or a vol floor above the cap, fails at parse time and names the field
     - a rule a model's constructor enforces (positive spot, vol and maturity,
       a nonnegative rate, steps >= 1, an increasing time grid, a correlation
       matrix that factors) fails on the key that broke it, not on 'model';
       so do a negative asset count and a local volatility's sigma or floor
       that is not positive
     - a spec builds its drift map once: a price run reads a dense drift
-      file once
+      file once, also when --n overrides the file's sample count
     - structural errors (a duplicate section, a key before any section, an
       empty value) name their line, and each bad config exits 2 with the
       parser's message
@@ -279,6 +280,10 @@ modes = crude rris
         assert main(["price", str(_write(tmp_path, text))]) == 0
         assert "d' = 1" in capsys.readouterr().out
         assert loads == [str(matrix)]
+        # --n changes neither the model nor the drift kind, so the run keeps the parsed map.
+        loads.clear()
+        assert main(["price", str(tmp_path / "exp.cfg"), "--n", "500"]) == 0
+        assert loads == [str(matrix)]
 
     def test_dense_drift_dimension_mismatch(self, tmp_path):
         matrix = tmp_path / "a.txt"
@@ -344,6 +349,23 @@ modes = crude rris
         captured = capsys.readouterr()
         assert "field 'vol_table'" in captured.err
         assert f"line 3 ['1', '100', '{value}'] is not finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,100\n", "expected 't,s,sigma' rows, got ['0', '100']"),
+            ("# t, s, sigma\n", "no volatility rows found"),
+            ("0,100,0.2\n0,150,0\n", "values must be positive"),
+        ],
+        ids=["two-columns", "no-rows", "zero-volatility"],
+    )
+    def test_bad_vol_table_names_vol_table(self, tmp_path, capsys, rows, message):
+        table = tmp_path / "vol.csv"
+        table.write_text(rows)
+        assert main(["price", str(_write(tmp_path, LOCALVOL_TABLE.format(table=table)))]) == 2
+        captured = capsys.readouterr()
+        assert "field 'vol_table'" in captured.err and message in captured.err
         assert captured.out == ""
 
     def test_vol_floor_above_cap_rejected(self, tmp_path, capsys):

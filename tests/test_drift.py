@@ -8,7 +8,8 @@ Claims:
       which solve_gram inverts
     - construction rejects rank-deficient or non-finite matrices and bad grids,
       by hand as through the factories, and keeps its own read-only copy of
-      the matrix
+      the matrix; the identity needs an integer d >= 1, a path map an asset,
+      and a dense file its header
     - the identity stays implicit: its adjoint returns the block itself, and
       solve_gram returns its vector itself
     - dense maps round-trip through the text-file loader
@@ -23,7 +24,7 @@ from pytest import approx
 from tiltmc import (
     DimensionMismatch,
     DriftMap,
-    InvalidGrid,
+    InvalidParameter,
     NonFiniteInput,
     RankDeficientDriftMap,
     dense_map,
@@ -57,6 +58,13 @@ class TestIdentity:
         assert drift.d == 3
         assert drift.d_reduced == 3
 
+    @pytest.mark.parametrize("build", [DriftMap, identity_map], ids=["by-hand", "factory"])
+    @pytest.mark.parametrize("d", [0, -2, 2.5])
+    def test_needs_an_integer_dimension(self, build, d):
+        with pytest.raises(InvalidParameter) as info:
+            build(d)
+        assert info.value.name == "d"
+
 
 class TestPathSingle:
     def test_regular_grid_entries(self):
@@ -83,7 +91,7 @@ class TestPathSingle:
         assert drift.apply_adjoint(np.ones(4)) == approx([2.0])
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidParameter):
             path_drift_multi([1.0, 0.5], 1)
 
 
@@ -122,6 +130,11 @@ class TestPathMulti:
         drift = path_drift_multi(2.0 / 24.0 * np.arange(1, 25), 5)
         assert drift.d == 120
         assert drift.d_reduced == 5
+
+    def test_needs_an_asset(self):
+        with pytest.raises(InvalidParameter) as info:
+            path_drift_multi([0.5, 1.0], 0)
+        assert info.value.name == "n_assets"
 
 
 class TestDense:
@@ -201,6 +214,13 @@ class TestLoader:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1 0 0\n")
         with pytest.raises(ValueError):
+            load_dense_map(path)
+
+    @pytest.mark.parametrize("text", ["", "3\n"])
+    def test_missing_header_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected a 'd d-reduced' header"):
             load_dense_map(path)
 
     def test_non_numeric_rejected(self, tmp_path):

@@ -27,8 +27,9 @@ Claims:
       and wide blocks, and the summands formed chunk by chunk in place the
       bits of the whole-block formula, on a block or a half not a whole
       number of chunks long
-    - a coverage run with a drift map that does not fit the payoff is a
-      caller error, raised before any replication is drawn
+    - a coverage run with a drift map that does not fit the payoff, or with
+      no replications, is a caller error, raised before any replication is
+      drawn; a coverage result cannot count more hits than replications
     - under glibc, a repeated block reuses freed heap memory instead of
       faulting it back in, on the main thread and on worker threads; the
       allocator policy is set once and is skipped without glibc
@@ -60,6 +61,7 @@ from tiltmc import (
     Basket,
     BlackScholesMulti,
     ConvergenceFailure,
+    CoverageResult,
     DegeneratePayoff,
     Digital,
     DimensionMismatch,
@@ -507,6 +509,16 @@ class TestCoverage:
         with pytest.raises(DimensionMismatch, match="dimension 2 .* dimension 4"):
             coverage_experiment(payoff, "rris", 200, 1, 10.0, replications=5, drift=drift)
         assert drawn == []
+
+    def test_no_replications_rejected(self):
+        payoff = Payoff(1, lambda x: np.ones(x.shape[:-1]))
+        with pytest.raises(ValueError, match="replications must be >= 1"):
+            coverage_experiment(payoff, "crude", 10, 1, 1.0, replications=0)
+
+    @pytest.mark.parametrize("hits", [-1, 3])
+    def test_hits_must_lie_within_the_replications(self, hits):
+        with pytest.raises(ValueError, match=r"hits must lie in \[0, replications\]"):
+            CoverageResult(replications=2, hits=hits, failures=0, empirical_level=0.5)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_error_in_payoff_propagates(self, threads):

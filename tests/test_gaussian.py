@@ -6,8 +6,13 @@ Claims:
       boundaries), stream separation, and bit for bit the Philox words
       through a half-step-shifted 53-bit uniform and ndtri
     - marginals are standard normal (moment bounds and column-wise KS)
-    - equicorrelation Cholesky is exact and rejects inadmissible rho; one
-      asset gives a read-only [[1.0]] for any rho, nan included
+    - equicorrelation Cholesky is exact and rejects inadmissible rho, also
+      one inside the interval whose C rounds to singular, and a count of no
+      assets, each on its parameter; one asset gives a read-only [[1.0]]
+      for any rho, nan included
+    - streams, draws and blocks reject a non-integer seed, a negative count,
+      an empty size and a block that is not an (n, d) matrix; a time grid
+      that is empty, not increasing or not finite fails on 'times'
     - the lognormal model's map from normals to Brownian values realizes
       the discrete Brownian covariance exactly (dense composition) and
       empirically (sampled covariance); the model keeps read-only copies of
@@ -23,9 +28,9 @@ from scipy.stats import kstest, kstwobign
 
 from tiltmc import (
     BlackScholesMulti,
-    InvalidCorrelation,
-    InvalidGrid,
+    InvalidParameter,
     RngStream,
+    SampleBlock,
     SampleBudgetExceeded,
     cholesky_correlation,
     draw_samples,
@@ -119,6 +124,26 @@ class TestStreams:
         with pytest.raises(ValueError):
             RngStream(2**64)
 
+    def test_seed_and_stream_id_must_be_integers(self):
+        with pytest.raises(TypeError, match="seed must be an integer, got float"):
+            RngStream(1.0)
+        with pytest.raises(TypeError, match="stream_id must be an integer, got str"):
+            RngStream(1, "0")
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            normal_draws(RngStream(1), -1)
+
+    @pytest.mark.parametrize("n, d", [(0, 3), (3, 0)])
+    def test_empty_block_rejected(self, n, d):
+        with pytest.raises(ValueError, match="n and d must be >= 1"):
+            draw_samples(RngStream(1), n, d)
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (2, 0)])
+    def test_hand_built_block_must_be_a_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"values must be an \(n, d\) matrix"):
+            SampleBlock(np.zeros(shape), RngStream(1))
+
 
 class TestMarginals:
     def test_moments_over_one_million_draws(self):
@@ -150,10 +175,21 @@ class TestCorrelationChol:
         assert chol[1, 1] == approx(0.8660254, abs=1e-7)
 
     def test_inadmissible_rho_rejected(self):
-        with pytest.raises(InvalidCorrelation):
+        with pytest.raises(InvalidParameter):
             cholesky_correlation(3, -0.6)  # -0.6 < -1/2
-        with pytest.raises(InvalidCorrelation):
+        with pytest.raises(InvalidParameter):
             cholesky_correlation(2, 1.0)
+
+    def test_rho_inside_the_interval_that_rounds_to_singular_is_rejected(self):
+        # (-1/999, 1) holds 1 - 2^-53, but at I = 1000 C does not factor.
+        with pytest.raises(InvalidParameter, match="C rounds to singular") as info:
+            cholesky_correlation(1000, 0.9999999999999999)
+        assert info.value.name == "rho"
+
+    def test_no_assets_rejected(self):
+        with pytest.raises(InvalidParameter) as info:
+            cholesky_correlation(0, 0.0)
+        assert info.value.name == "n_assets"
 
     def test_single_asset_accepts_any_rho(self):
         for rho in (-5.0, 0.0, 0.5, np.nan):
@@ -219,12 +255,18 @@ class TestPathMap:
         assert cov == approx(np.array([[1.0, 0.5], [0.5, 1.0]]), abs=0.02)
 
     def test_grid_validation(self):
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidParameter):
             _model([1.0, 0.5])
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidParameter):
             _model([-1.0, 0.5])
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidParameter):
             _model([])
+
+    @pytest.mark.parametrize("times", [[], [0.0, 1.0], [0.5, 0.5], [np.nan, 1.0], [0.5, np.inf]])
+    def test_grid_rule_names_times(self, times):
+        with pytest.raises(InvalidParameter) as info:
+            _model(times)
+        assert info.value.name == "times"
 
     def test_apply_matches_dense(self):
         times = np.array([0.5, 1.0, 1.75])

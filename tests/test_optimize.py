@@ -36,7 +36,9 @@ Claims:
     - one pass, shifted by a running maximum over 64-row chunks, matches a
       reference shifted by the maximum of all logits to 1e-12 relative, when
       the maximum sits in a later chunk and when the logits span over 1,400;
-      a point where u_n is not finite still raises NonFiniteObjective
+      a point where u_n is not finite still raises NonFiniteObjective, and
+      so do a finite u_n whose gradient overflows and a v_n = e^{u_n} / n
+      beyond the largest double
 """
 
 import tracemalloc
@@ -640,6 +642,22 @@ class TestChunkedPasses:
         for v in (np.full(3, 1e200), np.array([1e308, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0])):
             with np.errstate(all="ignore"), pytest.raises(NonFiniteObjective):
                 obj.evaluate(v)
+
+    def test_gradient_overflow_raises_where_u_is_finite(self):
+        # u_n = log 2 at v = 0, but the softmax mean of A*G_i sums 2 x 1e308.
+        obj = _Objective(_table([[1e308], [1e308]]), identity_map(1))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteObjective, match="derivatives"):
+            obj.evaluate(np.zeros(1))
+
+    def test_variance_proxy_overflow_raises_where_u_is_finite(self):
+        # f = 1e154 puts log w_i near 709, and |v|^2 / 2 = 450 lifts u_n - log n past 709.8.
+        samples = np.random.default_rng(3).standard_normal((100, 1))
+        table = _table(samples, weights_of=lambda x: np.full(x.shape[:-1], 1e154))
+        obj = _Objective(table, identity_map(1))
+        u, _ = obj.evaluate(np.array([30.0]))
+        assert np.isfinite(u)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteObjective, match="overflowed"):
+            obj.v_from_u(u)
 
     def test_memory_above_block_is_bounded_by_optimizer_chunks(self):
         # The basket-ris workload's block (d = d' = 500, n = 20k, 80 MB, most

@@ -16,6 +16,9 @@ Claims:
       drift direction
     - claim/model compatibility is validated eagerly, and a count mismatch
       names what is miscounted (weights or barriers)
+    - each model and volatility function checks its own parameters when
+      built and raises InvalidParameter naming the one that broke its rule;
+      a model's states reject an input of the wrong width
     - lognormal claims read Brownian values: the terminal read equals the
       price grid's last date bitwise, and barrier claims, monitored against
       thresholds on W, equal their price-space definitions bitwise, also on
@@ -43,6 +46,7 @@ from tiltmc import (
     ConstantVol,
     Digital,
     IncompatibleClaim,
+    InvalidParameter,
     LocalVol1D,
     NonFiniteInput,
     Payoff,
@@ -379,10 +383,70 @@ class TestValidation:
         with pytest.raises(IncompatibleClaim, match="claim has 3 barriers but the model has 5 assets"):
             build_payoff(model, Basket(np.full(5, 0.2), 50.0, np.ones(3)))
 
+    def test_non_finite_weights_rejected(self):
+        model = BlackScholesMulti.create(2, [1.0], 100.0, 0.2, 0.05)
+        with pytest.raises(IncompatibleClaim, match="claim weights must be finite"):
+            build_payoff(model, Basket(np.array([0.5, np.nan]), 100.0))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            BlackScholesMulti.create(2, [0.5, 1.0], 100.0, 0.2, 0.05),
+            LocalVol1D(spot=100.0, rate=0.05, maturity=1.0, n_steps=4, vol_fn=ConstantVol(0.2)),
+        ],
+        ids=["lognormal", "euler"],
+    )
+    def test_states_of_the_wrong_width_rejected(self, model):
+        with pytest.raises(ValueError, match=f"expected last dimension {model.dim}, got 3"):
+            model.states(np.zeros((2, 3)))
+
     def test_function_payoff(self):
         payoff = Payoff(1, lambda x: np.exp(0.2 * x[..., 0]))
         assert payoff(np.array([1.0])) == approx(np.exp(0.2))
         assert payoff(np.zeros((4, 1))) == approx(np.ones(4))
+
+
+_BS = dict(spot=[100.0], vol=[0.2], rate=0.05, rho=0.0, times=[1.0])
+_EULER = dict(spot=100.0, rate=0.05, maturity=1.0, n_steps=4, vol_fn=ConstantVol(0.2))
+
+
+class TestParameterRules:
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: BlackScholesMulti(**{**_BS, "spot": [100.0, 0.0], "vol": [0.2, 0.2]}), "spot"),
+            (lambda: BlackScholesMulti(**{**_BS, "vol": [-0.2]}), "vol"),
+            (lambda: BlackScholesMulti(**{**_BS, "rate": -0.01}), "rate"),
+            (lambda: BlackScholesMulti(**{**_BS, "vol": [0.2, 0.2]}), "vol"),
+            (lambda: BlackScholesMulti(**{**_BS, "times": [1.0, 0.5]}), "times"),
+            (lambda: BlackScholesMulti.create(3, [1.0], 100.0, 0.2, 0.05, 1.5), "rho"),
+            (
+                lambda: BlackScholesMulti.create(1000, [1.0], 100.0, 0.2, 0.05, 0.9999999999999999),
+                "rho",
+            ),
+            (lambda: LocalVol1D(**{**_EULER, "spot": 0.0}), "spot"),
+            (lambda: LocalVol1D(**{**_EULER, "maturity": -1.0}), "maturity"),
+            (lambda: LocalVol1D(**{**_EULER, "rate": -0.01}), "rate"),
+            (lambda: LocalVol1D(**{**_EULER, "n_steps": 0}), "n_steps"),
+            (lambda: ConstantVol(-0.2), "sigma"),
+            (lambda: ConstantVol(np.nan), "sigma"),
+            (lambda: PowerLawVol(sigma=-0.2, gamma=0.5, ref_spot=100.0), "sigma"),
+            (lambda: PowerLawVol(sigma=0.2, gamma=0.5, ref_spot=100.0, floor=-0.01), "floor"),
+            (lambda: PowerLawVol(sigma=0.2, gamma=0.5, ref_spot=1.0, floor=0.5, cap=0.1), "floor"),
+            (lambda: TabulatedVol(np.zeros(1), np.ones(2), np.array([[0.2, 0.0]])), "values"),
+        ],
+        ids=[
+            "bs-spot", "bs-vol", "bs-rate", "bs-vol-per-spot", "bs-times", "bs-rho",
+            "bs-rho-rounds-to-singular", "euler-spot", "euler-maturity", "euler-rate",
+            "euler-steps", "constant-sigma", "constant-sigma-nan", "power-sigma",
+            "power-floor", "power-floor-above-cap", "table-values",
+        ],
+    )
+    def test_constructor_names_the_broken_parameter(self, build, name):
+        with pytest.raises(InvalidParameter) as info:
+            build()
+        assert info.value.name == name
+        assert str(info.value) == f"{name} must {info.value.rule}"
 
 
 class TestLocalVolSurfaces:

@@ -20,8 +20,7 @@ PUBLIC_NAMES = [
     "DriftMap",
     "EstimateReport",
     "IncompatibleClaim",
-    "InvalidCorrelation",
-    "InvalidGrid",
+    "InvalidParameter",
     "LocalVol1D",
     "NonFiniteEstimate",
     "NonFiniteInput",
@@ -68,4 +67,4 @@ def _exports():
 
 def test_public_names_snapshot():
     assert _exports() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 46
